@@ -101,6 +101,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "crawlsite:", err)
 		os.Exit(1)
 	}
+	defer sess.Close()
 	b := browser.New(sess)
 	pv := b.Visit(context.Background(), host)
 	if !pv.OK {

@@ -40,6 +40,8 @@ func main() {
 		return browser.New(sess)
 	}
 	eu, us := mkBrowser("ES"), mkBrowser("US")
+	defer eu.Session.Close()
+	defer us.Session.Close()
 
 	// The 20 most popular crawlable porn sites.
 	var targets []string

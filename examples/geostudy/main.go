@@ -36,6 +36,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	for _, s := range sessions {
+		defer s.Close()
+	}
 
 	// Pre-flight: verify no vantage path rewrites content (the paper's
 	// VPN-integrity check).

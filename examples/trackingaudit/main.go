@@ -37,6 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sess.Close()
 	b := browser.New(sess)
 
 	// Audit the five most tracker-laden crawlable sites.

@@ -40,6 +40,7 @@ func (f *fixture) browser(t *testing.T, country, phase string) *Browser {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sess.Close)
 	return New(sess)
 }
 

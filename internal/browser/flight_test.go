@@ -24,6 +24,7 @@ func (f *fixture) flightBrowser(t *testing.T, fr *obs.FlightRecorder) *Browser {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sess.Close)
 	return New(sess)
 }
 

@@ -14,20 +14,11 @@ func (st *Study) ProbeTLS(ctx context.Context, hosts []string) map[string]bool {
 	out := make(map[string]bool, len(hosts))
 	var mu sync.Mutex
 	st.forEach(ctx, len(hosts), func(i int) {
-		host := hosts[i]
-		raw, err := st.Srv.DialContext(ctx, "tcp", host+":443")
-		if err != nil {
-			return
+		if st.probeHost(ctx, hosts[i]).ok {
+			mu.Lock()
+			out[hosts[i]] = true
+			mu.Unlock()
 		}
-		conn := tls.Client(raw, &tls.Config{ServerName: host, RootCAs: st.Srv.CertPool()})
-		err = conn.HandshakeContext(ctx)
-		conn.Close()
-		if err != nil {
-			return
-		}
-		mu.Lock()
-		out[host] = true
-		mu.Unlock()
 	})
 	return out
 }
@@ -42,32 +33,61 @@ func (st *Study) ProbeCertOrgs(ctx context.Context, hosts []string) map[string]s
 	out := make(map[string]string, len(hosts))
 	var mu sync.Mutex
 	st.forEach(ctx, len(hosts), func(i int) {
-		host := hosts[i]
-		raw, err := st.Srv.DialContext(ctx, "tcp", host+":443")
-		if err != nil {
-			return
+		if org := st.probeHost(ctx, hosts[i]).org; org != "" {
+			mu.Lock()
+			out[hosts[i]] = org
+			mu.Unlock()
 		}
-		conn := tls.Client(raw, &tls.Config{
-			ServerName: host,
-			RootCAs:    st.Srv.CertPool(),
-		})
-		err = conn.HandshakeContext(ctx)
-		if err != nil {
-			raw.Close()
-			return
-		}
-		state := conn.ConnectionState()
-		conn.Close()
-		if len(state.PeerCertificates) == 0 {
-			return
-		}
-		subj := state.PeerCertificates[0].Subject
-		if len(subj.Organization) == 0 || subj.Organization[0] == "" {
-			return
-		}
-		mu.Lock()
-		out[host] = subj.Organization[0]
-		mu.Unlock()
 	})
 	return out
+}
+
+// tlsProbe is what one TLS handshake with a host showed.
+type tlsProbe struct {
+	ok  bool   // the handshake completed
+	org string // first organization of the leaf certificate, "" if none
+}
+
+// hostProbe is one host's probe, shared by every caller.
+type hostProbe struct {
+	once sync.Once
+	res  tlsProbe
+}
+
+// probeHost returns the host's TLS probe, dialling it at most once per
+// study: ProbeTLS and ProbeCertOrgs, which may run in concurrent
+// stages, share the handshake. The handshake does not stop when the
+// caller that started it gives up, since every later caller reads its
+// answer; the server's 10 s handshake timeout bounds it.
+func (st *Study) probeHost(ctx context.Context, host string) tlsProbe {
+	st.probeMu.Lock()
+	p := st.probes[host]
+	if p == nil {
+		p = &hostProbe{}
+		st.probes[host] = p
+	}
+	st.probeMu.Unlock()
+	p.once.Do(func() { p.res = st.handshake(context.WithoutCancel(ctx), host) })
+	return p.res
+}
+
+// handshake dials host on the TLS port through the study's resolver and
+// completes a handshake against the substrate CA.
+func (st *Study) handshake(ctx context.Context, host string) tlsProbe {
+	raw, err := st.Srv.DialContext(ctx, "tcp", host+":443")
+	if err != nil {
+		return tlsProbe{}
+	}
+	defer raw.Close()
+	conn := tls.Client(raw, &tls.Config{ServerName: host, RootCAs: st.Srv.CertPool()})
+	if err := conn.HandshakeContext(ctx); err != nil {
+		return tlsProbe{}
+	}
+	res := tlsProbe{ok: true}
+	if certs := conn.ConnectionState().PeerCertificates; len(certs) > 0 {
+		if orgs := certs[0].Subject.Organization; len(orgs) > 0 {
+			res.org = orgs[0]
+		}
+	}
+	return res
 }

@@ -84,6 +84,7 @@ func (st *Study) InteractiveCrawlStage(ctx context.Context, hosts []string, coun
 	if err != nil {
 		return nil, err
 	}
+	defer sess.Close()
 	b := browser.New(sess)
 	b.Stage = stageName
 	b.Corpus = "porn"

@@ -63,6 +63,7 @@ func (st *Study) CompileCorpus(ctx context.Context) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sess.Close()
 	type verdict struct {
 		host string
 		ok   bool

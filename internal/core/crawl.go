@@ -72,6 +72,7 @@ func (st *Study) CrawlStage(ctx context.Context, hosts []string, country, stageN
 	if err != nil {
 		return nil, err
 	}
+	defer sess.Close()
 	b := browser.New(sess)
 	b.Stage = stageName
 	b.Corpus = corpus

@@ -45,6 +45,7 @@ func (st *Study) RunShard(ctx context.Context, a shard.Assignment, kill *shard.K
 	if err != nil {
 		return nil, err
 	}
+	defer sess.Close()
 	b := browser.New(sess)
 	b.Stage = a.Stage
 	b.Corpus = a.Corpus

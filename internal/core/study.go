@@ -204,6 +204,12 @@ type Study struct {
 	shardMu     sync.Mutex
 	shardStages map[string]provenance.ShardStage
 
+	// probes memoises the per-host TLS probe behind ProbeTLS and
+	// ProbeCertOrgs, so each host is dialled once per study.
+	probeMu sync.Mutex
+	// guarded by probeMu
+	probes map[string]*hostProbe
+
 	prov  *provenance.Recorder
 	admin *obs.AdminServer
 	// clock is the study's injected time source (wall-clock reads are
@@ -254,6 +260,7 @@ func NewStudy(cfg Config) (*Study, error) {
 		Log:      logger,
 		prov:     provenance.NewRecorder(),
 		clock:    time.Now,
+		probes:   map[string]*hostProbe{},
 	}
 	if !cfg.FlightOff {
 		st.Flight = obs.NewFlightRecorder(cfg.FlightBuffer, cfg.FlightSample, cfg.FlightSink).CountIn(reg)
@@ -388,7 +395,7 @@ func (st *Study) Close() {
 func (st *Study) VisitStore() store.Store { return st.store }
 
 // session opens an instrumented session for a vantage country and crawl
-// phase.
+// phase. The caller owns it and closes it when its stage ends.
 func (st *Study) session(country, phase string) (*crawler.Session, error) {
 	return crawler.NewSession(crawler.Config{
 		DialContext: st.Srv.DialContext,

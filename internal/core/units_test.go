@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"pornweb/internal/blocklist"
@@ -198,6 +199,54 @@ func TestProbeCertOrgs(t *testing.T) {
 	}
 	if _, ok := orgs["no-such-host.example"]; ok {
 		t.Error("unknown host should yield nothing")
+	}
+}
+
+// TestTLSProbeSharedPerHost runs ProbeTLS and ProbeCertOrgs concurrently
+// over the same hosts, as concurrent analysis stages do, and requires
+// one handshake per host between them, then none on a repeat.
+func TestTLSProbeSharedPerHost(t *testing.T) {
+	st := newBareStudy(t)
+	hosts := []string{"exosrv.com", "google-analytics.com", "xcvgdf.party"}
+	handshakes := func() uint64 {
+		return st.Metrics.Counter("webserver_tls_handshakes_total", "result", "served").Value() +
+			st.Metrics.Counter("webserver_tls_handshakes_total", "result", "no_tls").Value()
+	}
+	before := handshakes()
+	var (
+		wg      sync.WaitGroup
+		capable map[string]bool
+		orgs    map[string]string
+	)
+	wg.Add(2)
+	go func() { defer wg.Done(); capable = st.ProbeTLS(context.Background(), hosts) }()
+	go func() { defer wg.Done(); orgs = st.ProbeCertOrgs(context.Background(), hosts) }()
+	wg.Wait()
+	if got := handshakes() - before; got != uint64(len(hosts)) {
+		t.Errorf("%d handshakes for %d hosts probed twice, want one each", got, len(hosts))
+	}
+	if !capable["exosrv.com"] || !capable["google-analytics.com"] || capable["xcvgdf.party"] {
+		t.Errorf("ProbeTLS = %v, want the two HTTPS hosts only", capable)
+	}
+	if orgs["exosrv.com"] != "ExoClick S.L." || len(orgs) != 2 {
+		t.Errorf("ProbeCertOrgs = %v", orgs)
+	}
+	st.ProbeTLS(context.Background(), hosts)
+	if got := handshakes() - before; got != uint64(len(hosts)) {
+		t.Errorf("repeat probe dialled again: %d handshakes", got)
+	}
+}
+
+// TestTLSProbeOutlivesCancelledCaller requires that a probe started by a
+// caller whose context is already cancelled still records the host's
+// real answer, since every later caller shares it.
+func TestTLSProbeOutlivesCancelledCaller(t *testing.T) {
+	st := newBareStudy(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st.probeHost(ctx, "exosrv.com")
+	if p := st.probeHost(context.Background(), "exosrv.com"); !p.ok || p.org != "ExoClick S.L." {
+		t.Errorf("probe after a cancelled caller = %+v, want the host's certificate", p)
 	}
 }
 

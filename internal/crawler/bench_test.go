@@ -30,6 +30,7 @@ func benchSession(b *testing.B, reg *obs.Registry) (*Session, string) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(sess.Close)
 	var host string
 	for _, s := range eco.PornSites {
 		if !s.Flaky && !s.Unresponsive {

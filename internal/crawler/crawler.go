@@ -254,9 +254,10 @@ func NewSession(cfg Config) (*Session, error) {
 	// (100) would evict-and-close thousands of connections per second —
 	// every close burns a client ephemeral port for a TIME_WAIT interval
 	// and a paper-scale crawl exhausts the port range within seconds.
-	// Unlimited idle connections with a short idle timeout keeps hot
-	// tracker connections warm (ExoClick is contacted from 43% of sites)
-	// while one-shot connections drain gradually instead of in bursts.
+	// Unlimited idle connections with a short idle timeout keep hot
+	// tracker connections warm (ExoClick is contacted from 43% of sites).
+	// One-shot connections are closed when the stage that opened the
+	// session ends and calls Close.
 	tr := &http.Transport{
 		MaxIdleConns:        0, // unlimited
 		MaxIdleConnsPerHost: 8,
@@ -310,6 +311,12 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	return s, nil
 }
+
+// Close closes the session's pooled keep-alive connections; the request
+// log and the other snapshots stay readable. Whoever opens a session
+// closes it when its work ends, or the pool holds its connections'
+// goroutines and buffers, and their server ends, until process exit.
+func (s *Session) Close() { s.client.CloseIdleConnections() }
 
 // Log returns a snapshot of the request log.
 func (s *Session) Log() []Record {

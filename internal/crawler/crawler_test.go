@@ -28,6 +28,7 @@ func testSession(t *testing.T, country, phase string) (*Session, *webgen.Ecosyst
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sess.Close)
 	return sess, eco
 }
 
@@ -228,6 +229,7 @@ func TestPhaseHeaderPropagated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(s.Close)
 		return s
 	}
 	if _, _, err := mk("sanitize").FetchPage(context.Background(), flaky.Host, "/"); err != nil {
@@ -260,6 +262,7 @@ func TestCountryPropagated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(s.Close)
 		return s
 	}
 	if _, err := mk("RU").Fetch(context.Background(), "http://"+svcRU.Host+"/px.gif?nosync=1", "x.com", InitImage, ""); err != nil {

@@ -39,6 +39,7 @@ func faultySessionScale(t *testing.T, scale float64, prof webgen.FaultProfile, p
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sess.Close)
 	return sess, eco
 }
 
@@ -263,6 +264,7 @@ func TestGeo451ClassifiedNotRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sess2.Close()
 	res, _, ferr := sess2.FetchPage(context.Background(), blocked.Host, "/")
 	if ferr != nil {
 		t.Fatalf("451 should be a response, not a transport error: %v", ferr)

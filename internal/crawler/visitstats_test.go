@@ -99,6 +99,7 @@ func TestSessionFlightAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer wired.Close()
 	if wired.Flight() != fr {
 		t.Error("session did not expose the configured flight recorder")
 	}

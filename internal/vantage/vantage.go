@@ -52,7 +52,8 @@ func Countries() []string {
 
 // Sessions opens one instrumented crawl session per vantage point, sharing
 // everything in base except the country. Each country keeps its own cookie
-// jar — a fresh browser behind each VPN endpoint, as in the paper.
+// jar — a fresh browser behind each VPN endpoint, as in the paper. The
+// caller owns the sessions and must Close every one when its crawl ends.
 func Sessions(base crawler.Config) (map[string]*crawler.Session, error) {
 	out := make(map[string]*crawler.Session, len(Points))
 	for _, p := range Points {
@@ -60,6 +61,9 @@ func Sessions(base crawler.Config) (map[string]*crawler.Session, error) {
 		cfg.Country = p.Country
 		s, err := crawler.NewSession(cfg)
 		if err != nil {
+			for _, opened := range out {
+				opened.Close()
+			}
 			return nil, fmt.Errorf("vantage %s: %w", p.Country, err)
 		}
 		out[p.Country] = s

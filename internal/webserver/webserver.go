@@ -72,8 +72,6 @@ type Server struct {
 	// vhosts holds per-service-host request counters.
 	// guarded by mu
 	vhosts map[string]*obs.Counter
-
-	closed chan struct{}
 }
 
 // serverMetrics holds the server's pre-resolved instruments; all no-op
@@ -140,7 +138,6 @@ func Start(eco *webgen.Ecosystem, opts ...Option) (*Server, error) {
 		Eco:    eco,
 		certs:  map[string]*tls.Certificate{},
 		vhosts: map[string]*obs.Counter{},
-		closed: make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -184,18 +181,13 @@ func Start(eco *webgen.Ecosystem, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// Close stops both listeners.
+// Close stops both listeners and closes every open connection at once,
+// without a graceful drain: the server's only client is the study's own
+// crawler, which has finished when its owner calls Close. Close is
+// idempotent.
 func (s *Server) Close() {
-	select {
-	case <-s.closed:
-		return
-	default:
-		close(s.closed)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	s.httpSrv.Shutdown(ctx)
-	s.httpsSrv.Shutdown(ctx)
+	s.httpSrv.Close()
+	s.httpsSrv.Close()
 }
 
 // HTTPAddr returns the plain listener address.

@@ -1,11 +1,13 @@
 package webserver
 
 import (
+	"context"
 	"crypto/tls"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"pornweb/internal/webgen"
 )
@@ -257,4 +259,31 @@ func TestWildcardSubdomainCert(t *testing.T) {
 		t.Fatalf("subdomain TLS fetch failed: %v", err)
 	}
 	resp.Body.Close()
+}
+
+// TestCloseIgnoresUnusedTLSConn holds a connection that completed its
+// TLS handshake but never sent a request. net/http counts such a
+// connection as active, so a graceful shutdown would wait for it; Close
+// must not.
+func TestCloseIgnoresUnusedTLSConn(t *testing.T) {
+	srv, eco := startTest(t)
+	site := pickSite(t, eco, func(s *webgen.Site) bool { return s.HTTPS && !s.Flaky && !s.Unresponsive })
+	raw, err := srv.DialContext(context.Background(), "tcp", site.Host+":443")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	conn := tls.Client(raw, &tls.Config{ServerName: site.Host, RootCAs: srv.CertPool()})
+	if err := conn.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	srv.Close()
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("Close took %v with an unused TLS connection open, want under 100ms", took)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Error("connection still readable after Close")
+	}
 }

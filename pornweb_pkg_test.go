@@ -30,6 +30,7 @@ func TestFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sess.Close()
 	var target *pornweb.Site
 	for _, s := range eco.PornSites {
 		if !s.Flaky && !s.Unresponsive {
