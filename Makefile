@@ -22,9 +22,10 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-json times the full pipeline serial vs scheduled and writes
-# BENCH_pipeline.json: mean ns/op per path plus the speedup ratio (>1
-# means the DAG scheduler is faster; expect ~1.0 on a single core).
+# bench-json times the full pipeline at one stage worker ("Serial") vs
+# NumCPU stage workers ("Scheduled") and writes BENCH_pipeline.json:
+# mean ns/op per schedule plus the speedup ratio (>1 means the parallel
+# schedule is faster; expect ~1.0 on a single core).
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkStudyRun(Serial|Scheduled)$$' -benchtime=1x -count=3 . \
 		| $(GO) run ./cmd/benchjson > BENCH_pipeline.json
@@ -104,11 +105,13 @@ staticcheck:
 
 # determinism runs the seeded study twice and requires the two run
 # manifests to be identical — the provenance system's core promise.
+# Run a goes one stage at a time and run b at the default NumCPU stage
+# workers, so the gate also proves the two schedules byte-identical.
 # studydiff exits nonzero naming the earliest diverging pipeline stage
 # if any figure drifted, which fails the build.
 determinism:
 	rm -rf .provgate
-	$(GO) run ./cmd/pornstudy -scale 0.004 -seed 2019 -provenance .provgate/a >/dev/null
+	$(GO) run ./cmd/pornstudy -scale 0.004 -seed 2019 -stage-workers 1 -provenance .provgate/a >/dev/null
 	$(GO) run ./cmd/pornstudy -scale 0.004 -seed 2019 -provenance .provgate/b >/dev/null
 	$(GO) run ./cmd/studydiff .provgate/a .provgate/b
 	rm -rf .provgate

@@ -272,14 +272,7 @@ func BenchmarkTable7Geographic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Crawls are cached in the fixture; this measures the comparison
 		// analysis itself.
-		crawls := map[string]*core.CrawlResult{}
-		for k, v := range f.geoCrawls {
-			crawls[k] = v
-		}
-		geo, err := f.st.AnalyzeGeo(context.Background(), f.corpus.Porn, f.regularTP, crawls)
-		if err != nil {
-			b.Fatal(err)
-		}
+		geo := f.st.AnalyzeGeoFrom(f.regularTP, f.geoCrawls)
 		if i == 0 {
 			printRows("table7", func() { report.Table7(os.Stdout, geo) })
 		}
@@ -301,13 +294,19 @@ func BenchmarkTable8CookieBanners(b *testing.B) {
 
 func BenchmarkAgeVerification(b *testing.B) {
 	f := setupFixture(b)
+	top := f.st.Top50(f.corpus.Porn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		age, err := f.st.AnalyzeAgeVerification(context.Background(), f.corpus.Porn)
-		if err != nil {
-			b.Fatal(err)
+		visits := map[string]map[string]*browser.InteractiveVisit{}
+		for _, c := range core.AgeVantages() {
+			v, err := f.st.InteractiveCrawlStage(context.Background(), top, c, "crawl/age-"+c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			visits[c] = v
 		}
+		age := f.st.AnalyzeAgeVisits(visits)
 		if i == 0 {
 			printRows("age", func() { report.Age(os.Stdout, age) })
 		}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	pornstudy [-scale 0.05] [-seed 2019] [-workers 16] [-timeout 30s] [-v]
-//	          [-serial] [-stage-workers 4]
+//	          [-stage-workers 4]
 //	          [-metrics-addr 127.0.0.1:9090]
 //	          [-faults] [-retries 3] [-breaker-threshold 5] [-page-budget 2m]
 //	          [-provenance DIR] [-trace-out FILE]
@@ -17,10 +17,11 @@
 //	pornstudy -worker -coordinator ADDR [-worker-listen 127.0.0.1:0]
 //	          [-metrics-addr 127.0.0.1:0] [-shard-kill-visits N] ...
 //
-// By default the pipeline runs as a dependency graph: independent crawls
-// and analyses overlap, bounded by -stage-workers (0 = NumCPU). -serial
-// restores the historical strictly sequential stage order; both produce
-// identical results (pinned by the schedule-equivalence tests).
+// The pipeline runs as a dependency graph: independent crawls and
+// analyses overlap, bounded by -stage-workers (0 = NumCPU).
+// -stage-workers 1 runs one stage at a time; every count produces
+// identical results (pinned by TestScheduleEquivalence and the
+// determinism make target).
 //
 // -faults injects the default chaos profile into the generated
 // ecosystem (transient 5xx bursts, drops, truncation, resets, redirect
@@ -43,7 +44,7 @@
 //
 // -shards N (N > 1) shards every named crawl stage by registrable
 // domain and dispatches the shards across a worker fleet; the merged
-// run is byte-identical to a serial run of the same config (the
+// run is byte-identical to an unsharded run of the same config (the
 // shardci make target and TestShardEquivalence prove this). Without
 // -coordinator-addr the fleet is in-process (-shard-workers many, one
 // per shard by default). With -coordinator-addr the coordinator opens
@@ -123,7 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 0.05, "corpus scale (1.0 = paper size)")
 	seed := fs.Uint64("seed", 2019, "generation seed")
 	workers := fs.Int("workers", 16, "crawl parallelism")
-	serial := fs.Bool("serial", false, "run pipeline stages strictly sequentially (reference schedule)")
 	stageWorkers := fs.Int("stage-workers", 0, "concurrent pipeline stages for the DAG scheduler (0 = NumCPU)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-page timeout")
 	verbose := fs.Bool("v", false, "progress logging")
@@ -165,7 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := core.Config{
 		Params:       params,
 		Workers:      *workers,
-		Serial:       *serial,
 		StageWorkers: *stageWorkers,
 		Timeout:      *timeout,
 		MetricsAddr:  *metricsAddr,

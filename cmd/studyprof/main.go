@@ -2,14 +2,14 @@
 // the seeded study under a CPU profile, parses the resulting pprof
 // protobuf with internal/profparse (standard library only — no external
 // pprof tooling), and prints a hot-path table attributing CPU to
-// pipeline stages via the pprof labels the scheduler and serial runner
-// propagate (stage, op, vantage), with the top-N hottest leaf functions
+// pipeline stages via the pprof labels the scheduler propagates (stage,
+// op, vantage), with the top-N hottest leaf functions
 // per stage.
 //
 // Usage:
 //
 //	studyprof [-scale 0.004] [-seed 2019] [-workers 8] [-stage-workers 0]
-//	          [-serial] [-top 3] [-json] [-heap] [-cpuprofile FILE]
+//	          [-top 3] [-json] [-heap] [-cpuprofile FILE]
 //	          [-provenance DIR] [-min-attrib 0.9]
 //
 // The table's ordering is value-independent — stages sort by name
@@ -25,7 +25,7 @@
 // profile for external tooling. -provenance writes the study's
 // manifest.json and runinfo.json plus a profile.json sidecar holding
 // the attribution — the manifest stays byte-identical with profiling on
-// or off, pinned by the core determinism tests.
+// or off, pinned by TestManifestEquivalence.
 package main
 
 import (
@@ -57,7 +57,6 @@ func run() error {
 	seed := flag.Uint64("seed", 2019, "generation seed")
 	workers := flag.Int("workers", 8, "crawl parallelism")
 	stageWorkers := flag.Int("stage-workers", 0, "concurrent pipeline stages (0 = NumCPU)")
-	serial := flag.Bool("serial", false, "run pipeline stages strictly sequentially")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-page timeout")
 	top := flag.Int("top", 3, "hottest leaf functions to print per stage")
 	jsonOut := flag.Bool("json", false, "emit the attribution as JSON instead of a text table")
@@ -71,7 +70,6 @@ func run() error {
 		Params:       webgen.Params{Seed: *seed, Scale: *scale},
 		Workers:      *workers,
 		StageWorkers: *stageWorkers,
-		Serial:       *serial,
 		Timeout:      *timeout,
 	}
 	st, err := core.NewStudy(cfg)

@@ -3,8 +3,9 @@
 // federate every worker's metrics, spans and flight events into the
 // coordinator's unified views — and whether telemetry is on, off, or
 // partially lost, the merged results and the run manifest must stay
-// byte-identical to a serial run. Observability may degrade; data may
-// not.
+// byte-identical to an unsharded run. Observability may degrade; data
+// may not. Telemetry off in-process is TestManifestEquivalence's
+// small/shards=3/telemetry-off row.
 package pornweb_test
 
 import (
@@ -19,35 +20,23 @@ import (
 
 	"pornweb/internal/core"
 	"pornweb/internal/obs"
+	"pornweb/internal/provenance"
 	"pornweb/internal/resilience"
 	"pornweb/internal/shard"
-	"pornweb/internal/webgen"
 )
-
-// fleetScale keeps the multi-study fleet tests affordable: each remote
-// worker rebuilds the whole ecosystem, so the corpus stays small.
-const fleetScale = 0.004
-
-// fleetBase is the config every fleet-test study derives from; the
-// fingerprint-relevant fields must match between coordinator and
-// workers or the workers refuse assignments.
-func fleetBase() core.Config {
-	return core.Config{
-		Params:    webgen.Params{Seed: 11, Scale: fleetScale},
-		Countries: []string{"ES", "US"},
-		Workers:   4,
-		Timeout:   10 * time.Second,
-	}
-}
 
 // startFleetWorker builds one worker study (its own registry, tracer
 // and flight recorder — a `pornstudy -worker` process in miniature),
 // serves assignments on loopback, and registers with the coordinator.
 // Passing withObs=false leaves the Server's observability plane unwired,
 // the shape of a worker that predates (or lost) the telemetry path.
+// Every fleet-test study derives from smallConfig: each worker rebuilds
+// the whole ecosystem, so the corpus stays small, and the
+// fingerprint-relevant fields must match between coordinator and
+// workers or the workers refuse assignments.
 func startFleetWorker(t *testing.T, coordAddr, label string, withObs bool) *core.Study {
 	t.Helper()
-	wst, err := core.NewStudy(fleetBase())
+	wst, err := core.NewStudy(smallConfig())
 	if err != nil {
 		t.Fatalf("worker study: %v", err)
 	}
@@ -56,7 +45,7 @@ func startFleetWorker(t *testing.T, coordAddr, label string, withObs bool) *core
 		Label:       label,
 		Runner:      wst,
 		Fingerprint: wst.Fingerprint(),
-		Seed:        int64(fleetBase().Params.Seed),
+		Seed:        int64(smallConfig().Params.Seed),
 	}
 	if withObs {
 		srv.Registry = wst.Metrics
@@ -110,44 +99,25 @@ func runFleet(t *testing.T, cfg core.Config, withObs, withoutObs int) (*core.Stu
 	return st, append(raw, '\n')
 }
 
-// serialManifest runs the same config unsharded and returns its
-// manifest bytes — the reference every fleet variant must reproduce.
-func serialManifest(t *testing.T) []byte {
-	t.Helper()
-	st, err := core.NewStudy(fleetBase())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.MarshalIndent(st.Provenance, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(raw, '\n')
-}
-
 // TestFleetFederation runs a coordinator with three telemetry-bearing
 // remote workers and checks the whole observability plane: federated
 // metrics account for every worker visit, the fleet report shows
 // healthy telemetry, the merged trace carries one trace ID across a
 // coordinator row plus one row per worker — and the manifest is
-// byte-identical to a serial run.
+// byte-identical to the small reference.
 func TestFleetFederation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full pipeline five times; skipped in -short")
+		t.Skip("runs the full pipeline on a remote fleet; skipped in -short")
 	}
-	ref := serialManifest(t)
+	ref := reference(t, "small").manifest
 
-	cfg := fleetBase()
+	cfg := smallConfig()
 	cfg.Shards = 3
 	cfg.CoordinatorAddr = "127.0.0.1:0"
 	cfg.ShardMinWorkers = 3
 	st, manifest := runFleet(t, cfg, 3, 0)
 	if !bytes.Equal(ref, manifest) {
-		t.Error("fleet manifest diverged from serial reference")
+		t.Error("fleet manifest diverged from the small reference")
 		logFirstDiff(t, ref, manifest)
 	}
 
@@ -256,11 +226,11 @@ func TestFleetFederation(t *testing.T) {
 // as absent while the others stay "ok".
 func TestFleetTelemetryLossDegrades(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full pipeline four times; skipped in -short")
+		t.Skip("runs the full pipeline on a remote fleet; skipped in -short")
 	}
-	ref := serialManifest(t)
+	ref := reference(t, "small").manifest
 
-	cfg := fleetBase()
+	cfg := smallConfig()
 	cfg.Shards = 3
 	cfg.CoordinatorAddr = "127.0.0.1:0"
 	cfg.ShardMinWorkers = 3
@@ -292,42 +262,44 @@ func TestFleetTelemetryLossDegrades(t *testing.T) {
 	}
 }
 
-// TestFleetTelemetryOffByteIdentity pins the sidecar invariant at the
-// cheapest point: an in-process sharded run with fleet telemetry on
-// and one with it off produce DeepEqual Results and byte-identical
-// manifests, because the knob is excluded from the config fingerprint
-// by construction.
-func TestFleetTelemetryOffByteIdentity(t *testing.T) {
+// TestWorkerFailureReassignment kills one in-process worker at a
+// seeded visit mid-shard: the coordinator must retire it, reassign the
+// lost shard to a survivor, and converge to exactly the bytes an
+// uninterrupted fleet produces — manifest, shard sidecar and Results.
+// The uninterrupted fleet is TestManifestEquivalence's small/shards=3
+// row, run once for both.
+func TestWorkerFailureReassignment(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full pipeline twice; skipped in -short")
+		t.Skip("runs the full pipeline on a failing fleet; skipped in -short")
 	}
-	run := func(off bool) (*core.Results, []byte) {
-		cfg := fleetBase()
-		cfg.Shards = 3
-		cfg.ShardWorkers = 3
-		cfg.FleetTelemetryOff = off
-		st, err := core.NewStudy(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		res, err := st.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := json.MarshalIndent(st.Provenance, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, append(raw, '\n')
+	ref := rowRun(t, smallShards3)
+	if ref.retired != 0 || ref.live != 3 {
+		t.Fatalf("uninterrupted fleet ended with %d live / %d retired workers, want 3/0",
+			ref.live, ref.retired)
 	}
-	resOn, manOn := run(false)
-	resOff, manOff := run(true)
-	if !reflect.DeepEqual(resOn, resOff) {
-		t.Error("Results differ between fleet telemetry on and off")
+
+	cfg := smallConfig()
+	cfg.Shards = 3
+	// Exit is left nil: in-process the "death" is the worker failing
+	// every subsequent assignment, which is what a vanished process
+	// looks like to the coordinator.
+	cfg.ShardKill = &shard.KillSwitch{After: 5}
+	got := runStudy(t, cfg)
+	if got.retired != 1 || got.live != 2 {
+		t.Fatalf("killed fleet ended with %d live / %d retired workers, want 2/1",
+			got.live, got.retired)
 	}
-	if !bytes.Equal(manOn, manOff) {
-		t.Error("manifest bytes differ between fleet telemetry on and off")
-		logFirstDiff(t, manOn, manOff)
+	if !bytes.Equal(ref.manifest, got.manifest) {
+		t.Error("manifest after worker death diverged from uninterrupted fleet")
+		logFirstDiff(t, ref.manifest, got.manifest)
+	}
+	if !reflect.DeepEqual(ref.res, got.res) {
+		t.Error("Results after worker death diverged from uninterrupted fleet")
+	}
+	if got.shards == nil || ref.shards == nil {
+		t.Fatal("sharded runs recorded no shard manifest")
+	}
+	if stages := provenance.DiffShardStages(ref.shards, got.shards); stages != nil {
+		t.Errorf("shard sidecar diverged after worker death in stages %v", stages)
 	}
 }

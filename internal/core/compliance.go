@@ -186,29 +186,10 @@ func (st *Study) Top50(porn []string) []string {
 // age-verification comparison, in the paper's order.
 func AgeVantages() []string { return []string{"US", "UK", "ES", "RU"} }
 
-// AnalyzeAgeVerification runs the interactive crawler over the top-50 from
-// the four countries of Section 7.2 and compares. The scheduled pipeline
-// fans the four crawls out as independent stages and calls
-// AnalyzeAgeVisits directly; this wrapper keeps the crawl-then-analyze
-// convenience for the serial path and library callers.
-func (st *Study) AnalyzeAgeVerification(ctx context.Context, porn []string) (AgeResult, error) {
-	top := st.Top50(porn)
-	visits := map[string]map[string]*browser.InteractiveVisit{}
-	for _, country := range AgeVantages() {
-		// The stage label matches the scheduled pipeline's fan-out stages,
-		// so serial and scheduled runs record identical provenance.
-		v, err := st.InteractiveCrawlStage(ctx, top, country, "crawl/age-"+country)
-		if err != nil {
-			return AgeResult{}, err
-		}
-		visits[country] = v
-	}
-	return st.AnalyzeAgeVisits(visits), nil
-}
-
-// AnalyzeAgeVisits is the pure analysis half of Section 7.2: it compares
-// completed interactive crawls keyed by country (one entry per
-// AgeVantages country, each over the same top-50 hosts).
+// AnalyzeAgeVisits is the Section 7.2 analysis: it compares completed
+// interactive crawls keyed by country (one entry per AgeVantages country,
+// each over the same top-50 hosts; the pipeline runs one
+// crawl/age-<country> stage per vantage).
 func (st *Study) AnalyzeAgeVisits(byCountry map[string]map[string]*browser.InteractiveVisit) AgeResult {
 	gatedBy := map[string]map[string]bool{}
 	var res AgeResult

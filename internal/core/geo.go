@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"pornweb/internal/domain"
@@ -45,32 +44,10 @@ type GeoResult struct {
 	AlwaysMalSites        int // sites with malicious content from every country
 }
 
-// AnalyzeGeo crawls the porn corpus from every configured vantage country
-// and compares. regularTP is the regular-web third-party set (from the
-// main crawl) for the "web ecosystem" column. The scheduled pipeline owns
-// the crawls itself and calls AnalyzeGeoFrom directly; this wrapper keeps
-// the crawl-then-analyze convenience for the serial path and library
-// callers.
-func (st *Study) AnalyzeGeo(ctx context.Context, porn []string, regularTP map[string]bool, crawls map[string]*CrawlResult) (GeoResult, error) {
-	// Crawl any country not already provided. The stage label matches the
-	// scheduled pipeline's fan-out stages, so serial and scheduled runs
-	// record identical provenance.
-	for _, c := range st.Cfg.Countries {
-		if crawls[c] != nil {
-			continue
-		}
-		cr, err := st.CrawlStage(ctx, porn, c, "crawl/geo-"+c, "porn")
-		if err != nil {
-			return GeoResult{}, err
-		}
-		crawls[c] = cr
-	}
-	return st.AnalyzeGeoFrom(regularTP, crawls), nil
-}
-
-// AnalyzeGeoFrom is the pure analysis half of Section 6: it compares
-// already-completed vantage crawls. crawls must contain every country in
-// Cfg.Countries.
+// AnalyzeGeoFrom is the Section 6 analysis: it compares already-completed
+// vantage crawls. crawls must contain every country in Cfg.Countries.
+// regularTP is the regular-web third-party set (from the main crawl) for
+// the "web ecosystem" column.
 func (st *Study) AnalyzeGeoFrom(regularTP map[string]bool, crawls map[string]*CrawlResult) GeoResult {
 	var res GeoResult
 	countries := st.Cfg.Countries

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -40,4 +41,39 @@ func TestCloseAfterRunReleasesEverything(t *testing.T) {
 		t.Errorf("%d goroutines after Close, %d before NewStudy; still running:\n%s",
 			n, before, buf[:runtime.Stack(buf, true)])
 	}
+}
+
+// TestNewStudyAdminFailureReleasesCoordinator makes the admin listener
+// fail after the shard coordinator has bound its registration port:
+// NewStudy's error path must close everything it opened, so the port is
+// free again once the error returns.
+func TestNewStudyAdminFailureReleasesCoordinator(t *testing.T) {
+	free, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordAddr := free.Addr().String()
+	free.Close()
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+
+	st, err := NewStudy(Config{
+		Params:          webgen.Params{Seed: 11, Scale: 0.004},
+		Workers:         2,
+		Shards:          2,
+		CoordinatorAddr: coordAddr,
+		MetricsAddr:     busy.Addr().String(),
+	})
+	if err == nil {
+		st.Close()
+		t.Fatal("NewStudy succeeded with an occupied metrics address")
+	}
+	ln, err := net.Listen("tcp", coordAddr)
+	if err != nil {
+		t.Fatalf("coordinator port still bound after NewStudy failed: %v", err)
+	}
+	ln.Close()
 }

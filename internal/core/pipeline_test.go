@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,56 +11,33 @@ import (
 	"pornweb/internal/webgen"
 )
 
-// TestSerialCancellation pins the serial path's cancellation behaviour:
-// a dead context must stop the pipeline between stages instead of
-// grinding through every remaining crawl and analysis.
-func TestSerialCancellation(t *testing.T) {
-	st, err := NewStudy(Config{
-		Params:  webgen.Params{Seed: 11, Scale: 0.01},
-		Workers: 2,
-		Serial:  true,
-		Timeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := st.Run(ctx)
-	if err == nil {
-		t.Fatal("serial Run with a pre-cancelled context returned nil error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("serial Run error = %v, want context.Canceled in its chain", err)
-	}
-	if res != nil {
-		t.Fatalf("serial Run returned partial results %+v after cancellation", res)
-	}
-}
-
-// TestScheduledCancellation does the same for the scheduler-driven path:
-// a pre-cancelled parent context means no stage runs at all.
+// TestScheduledCancellation pins the pipeline's cancellation behaviour
+// at one stage worker and at the NumCPU default: a pre-cancelled parent
+// context means no stage runs at all and Run returns no partial results.
 func TestScheduledCancellation(t *testing.T) {
-	st, err := NewStudy(Config{
-		Params:  webgen.Params{Seed: 11, Scale: 0.01},
-		Workers: 2,
-		Timeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	for _, workers := range []int{1, 0} {
+		t.Run(fmt.Sprintf("stage-workers=%d", workers), func(t *testing.T) {
+			st, err := NewStudy(Config{
+				Params:       webgen.Params{Seed: 11, Scale: 0.01},
+				Workers:      2,
+				StageWorkers: workers,
+				Timeout:      5 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := st.Run(ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("scheduled Run error = %v, want context.Canceled in its chain", err)
-	}
-	if res != nil {
-		t.Fatalf("scheduled Run returned partial results after cancellation")
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			res, err := st.Run(ctx)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("Run error = %v, want context.Canceled in its chain", err)
+			}
+			if res != nil {
+				t.Fatalf("Run returned partial results after cancellation")
+			}
+		})
 	}
 }
 

@@ -2,14 +2,8 @@ package core
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"regexp"
-	"runtime/pprof"
 	"testing"
-	"time"
-
-	"pornweb/internal/webgen"
 )
 
 // stageCPULine extracts the stage label of one study_stage_cpu_seconds
@@ -43,75 +37,5 @@ func TestStageResourceCardinality(t *testing.T) {
 	}
 	if len(seen) > len(declared) {
 		t.Errorf("%d stage labels exceed the pipeline's %d stages", len(seen), len(declared))
-	}
-}
-
-// TestManifestUnaffectedByProfiling pins the provenance guarantee the
-// profiling harness leans on: running the identical seeded study with a
-// CPU profile attached must produce a byte-identical manifest — all
-// volatile observation (timings, resource deltas, profiles) stays in
-// sidecars. It doubles as the exposition-stability satellite for the
-// study registry: with no runtime poller attached (no MetricsAddr),
-// two renders after Run are byte-identical.
-func TestManifestUnaffectedByProfiling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two extra study runs")
-	}
-	runOnce := func(profiled bool) ([]byte, *Study) {
-		st, err := NewStudy(Config{
-			Params:  webgen.Params{Seed: 2019, Scale: 0.004},
-			Workers: 8,
-			Timeout: 10 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var prof bytes.Buffer
-		if profiled {
-			if err := pprof.StartCPUProfile(&prof); err != nil {
-				t.Skipf("cannot start CPU profile: %v", err)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-		defer cancel()
-		res, err := st.Run(ctx)
-		if profiled {
-			pprof.StopCPUProfile()
-		}
-		if err != nil {
-			st.Close()
-			t.Fatal(err)
-		}
-		m, err := st.BuildManifest(res)
-		if err != nil {
-			st.Close()
-			t.Fatal(err)
-		}
-		data, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			st.Close()
-			t.Fatal(err)
-		}
-		return data, st
-	}
-	plain, st1 := runOnce(false)
-	defer st1.Close()
-	profiled, st2 := runOnce(true)
-	defer st2.Close()
-	if !bytes.Equal(plain, profiled) {
-		t.Error("manifest changed when the run was profiled; volatile data leaked into provenance")
-	}
-
-	// Exposition stability: nothing mutates the registry once Run is done
-	// and no poller is attached, so two renders are byte-identical.
-	var a, b bytes.Buffer
-	if err := st2.Metrics.WriteExposition(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Metrics.WriteExposition(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("two exposition renders of a quiescent study registry differ")
 	}
 }

@@ -70,11 +70,11 @@ func (st *Study) recordCorpusStage(c *Corpus) {
 
 // configFingerprint digests the parts of the config that determine the
 // study's *results*: generator parameters, vantage countries, crawl
-// parallelism and timeouts, and the retry policy. Schedule knobs (Serial,
-// StageWorkers) and observability knobs (metrics, tracing, flight
+// parallelism and timeouts, and the retry policy. The schedule knob
+// (StageWorkers) and observability knobs (metrics, tracing, flight
 // recorder) are deliberately excluded — they change how a run executes
-// and what it records about itself, never what it measures — so a serial
-// and a scheduled run of the same study share a fingerprint.
+// and what it records about itself, never what it measures — so runs at
+// every stage-worker count share a fingerprint.
 func (st *Study) configFingerprint() (string, error) {
 	return provenance.HashJSON(struct {
 		Params     webgen.Params
@@ -329,7 +329,6 @@ func (st *Study) buildRunInfo(start time.Time) *provenance.RunInfo {
 	ri := &provenance.RunInfo{
 		StartedAt:    start.UTC(),
 		WallMS:       float64(st.clock().Sub(start).Microseconds()) / 1000,
-		Serial:       st.Cfg.Serial,
 		StageWorkers: st.Cfg.StageWorkers,
 	}
 	timings := st.prov.Timings()

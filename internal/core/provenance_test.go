@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,22 +17,51 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// goldenPath is the checked-in manifest of provCfg(11): the fixed
+// reference every schedule, shard count and resume must reproduce.
+var goldenPath = filepath.Join("testdata", "manifest.golden.json")
+
 // provCfg is the fixed small-study config every provenance test runs:
 // small enough to run several full studies per test binary, with a
-// non-default country list so the geo fan-out stages exist.
-func provCfg(seed uint64, serial bool) Config {
+// non-default country list so the geo fan-out stages exist. It leaves
+// StageWorkers at the default, so stages run concurrently.
+func provCfg(seed uint64) Config {
 	return Config{
 		Params:    webgen.Params{Seed: seed, Scale: 0.004},
 		Countries: []string{"ES", "US", "RU"},
 		Workers:   4,
-		Serial:    serial,
 		Timeout:   5 * time.Second,
 	}
 }
 
-// runManifest runs one full study and returns its manifest plus the exact
-// bytes manifest.json would contain.
-func runManifest(t *testing.T, cfg Config) (*provenance.Manifest, []byte) {
+// The golden-config run is shared by every test that inspects it.
+var (
+	goldenOnce sync.Once
+	goldenM    *provenance.Manifest
+	goldenRaw  []byte
+)
+
+// goldenRun runs provCfg(11) once per test binary at one stage worker —
+// one stage at a time, the schedule the golden manifest was written
+// under — and returns its manifest plus the exact manifest.json bytes.
+func goldenRun(t *testing.T) (*provenance.Manifest, []byte) {
+	t.Helper()
+	goldenOnce.Do(func() {
+		cfg := provCfg(11)
+		cfg.StageWorkers = 1
+		st, raw := runManifest(t, cfg)
+		goldenM, goldenRaw = st.Provenance, raw
+	})
+	if goldenM == nil {
+		t.Fatal("golden-config run failed in an earlier test")
+	}
+	return goldenM, goldenRaw
+}
+
+// runManifest runs one full study, closes it, and returns it plus the
+// exact bytes manifest.json would contain. Closing releases a store
+// directory for a subsequent resume.
+func runManifest(t *testing.T, cfg Config) (*Study, []byte) {
 	t.Helper()
 	st, err := NewStudy(cfg)
 	if err != nil {
@@ -55,37 +85,26 @@ func runManifest(t *testing.T, cfg Config) (*provenance.Manifest, []byte) {
 	if _, err := os.Stat(filepath.Join(dir, "runinfo.json")); err != nil {
 		t.Fatalf("runinfo.json sidecar missing: %v", err)
 	}
-	return st.Provenance, raw
+	return st, raw
 }
 
-// TestManifestDeterministic is the determinism gate in miniature: two
-// independent studies with the same config must write byte-identical
-// manifest.json files, and a scheduled run must match a serial one — the
-// schedule changes wall-clock, never provenance.
+// TestManifestDeterministic perturbs the seed of the golden config: the
+// manifest must diverge from the golden one, and the DAG walk must pin
+// the divergence on the earliest stage — the corpus every crawl
+// consumed. That two runs of one config agree byte for byte is
+// TestManifestGolden's claim; that every schedule agrees is the root
+// package's TestScheduleEquivalence and TestManifestEquivalence.
 func TestManifestDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four full studies")
+		t.Skip("runs a full study")
 	}
-	mSerial, rawSerial := runManifest(t, provCfg(11, true))
-	_, rawSerial2 := runManifest(t, provCfg(11, true))
-	if !bytes.Equal(rawSerial, rawSerial2) {
-		t.Fatal("two serial runs with identical config produced different manifest.json bytes")
+	golden, err := provenance.LoadManifest(goldenPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mSched, rawSched := runManifest(t, provCfg(11, false))
-	if !bytes.Equal(rawSerial, rawSched) {
-		d := provenance.Diff(mSerial, mSched)
-		var buf bytes.Buffer
-		d.Format(&buf)
-		t.Fatalf("serial and scheduled manifests differ:\n%s", buf.String())
-	}
-	if d := provenance.Diff(mSerial, mSched); !d.Identical {
-		t.Fatalf("Diff of equal manifests not identical: %+v", d)
-	}
-
-	// A perturbed seed must diverge, and the DAG walk must pin the
-	// divergence on the earliest stage: the corpus every crawl consumed.
-	mOther, _ := runManifest(t, provCfg(13, true))
-	d := provenance.Diff(mSerial, mOther)
+	ost, _ := runManifest(t, provCfg(13))
+	other := ost.Provenance
+	d := provenance.Diff(golden, other)
 	if d.Identical {
 		t.Fatal("runs with different seeds produced identical manifests")
 	}
@@ -104,14 +123,20 @@ func TestManifestDeterministic(t *testing.T) {
 			t.Errorf("figure %s earliest stages = %v, want [corpus]", fd.Name, fd.EarliestStages)
 		}
 	}
+	// The golden file and a fresh golden-config run are two separately
+	// produced manifests with equal content.
+	fresh, _ := goldenRun(t)
+	if d := provenance.Diff(golden, fresh); !d.Identical {
+		t.Fatalf("Diff of equal manifests not identical: %+v", d)
+	}
 }
 
 // TestManifestContents sanity-checks one run's manifest shape: every
 // pipeline stage recorded, inputs wired from the DAG, corpora digested,
 // every figure present with a stage that exists.
 func TestManifestContents(t *testing.T) {
-	cfg := provCfg(11, false)
-	m, _ := runManifest(t, cfg)
+	cfg := provCfg(11)
+	m, _ := goldenRun(t)
 
 	if m.Version != provenance.ManifestVersion {
 		t.Errorf("Version = %d, want %d", m.Version, provenance.ManifestVersion)
@@ -193,24 +218,23 @@ func TestPipelineDependencies(t *testing.T) {
 // scheme or the manifest schema shows up as a reviewable diff. Regenerate
 // with: go test ./internal/core -run TestManifestGolden -update
 func TestManifestGolden(t *testing.T) {
-	_, raw := runManifest(t, provCfg(11, true))
-	golden := filepath.Join("testdata", "manifest.golden.json")
+	_, raw := goldenRun(t)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, raw, 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s", golden)
+		t.Logf("wrote %s", goldenPath)
 		return
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(raw, want) {
-		a, _ := provenance.LoadManifest(golden)
+		a, _ := provenance.LoadManifest(goldenPath)
 		var b provenance.Manifest
 		dir := t.TempDir()
 		path := filepath.Join(dir, "got.json")

@@ -78,15 +78,14 @@ func (st *Study) SyncEdgeThreshold() int {
 
 // Run executes the complete study: corpus compilation, the main dual
 // crawls from Spain, the US crawl for Table 8, the remaining geographic
-// crawls, and every analysis. By default the pipeline runs as a
-// dependency graph on the internal/sched scheduler — the two main crawls
-// overlap, every vantage crawl fans out as soon as the corpus lands, and
-// each analysis fires the moment its inputs resolve — bounded by
-// Config.StageWorkers. Config.Serial preserves the strictly sequential
-// historical order; both paths produce identical Results (pinned by the
-// schedule-equivalence tests). Every stage is traced (visible on /spans)
-// and timed into the study_stage_seconds histogram (visible on /metrics);
-// the scheduled path additionally records per-stage queue wait and the
+// crawls, and every analysis. The pipeline runs as a dependency graph on
+// the internal/sched scheduler — the two main crawls overlap, every
+// vantage crawl fans out as soon as the corpus lands, and each analysis
+// fires the moment its inputs resolve — bounded by Config.StageWorkers.
+// StageWorkers 1 runs one stage at a time; every worker count produces
+// identical Results (pinned by TestScheduleEquivalence). Every stage is
+// traced (visible on /spans), timed into the study_stage_seconds
+// histogram (visible on /metrics), and records its queue wait and the
 // in-flight gauge.
 // Run also assembles the run's provenance: Study.Provenance (the
 // deterministic manifest — config fingerprint, corpus digests, per-stage
@@ -96,15 +95,7 @@ func (st *Study) SyncEdgeThreshold() int {
 func (st *Study) Run(ctx context.Context) (*Results, error) {
 	st.prov.Reset()
 	start := st.clock()
-	var (
-		res *Results
-		err error
-	)
-	if st.Cfg.Serial {
-		res, err = st.runSerial(ctx)
-	} else {
-		res, err = st.runScheduled(ctx)
-	}
+	res, err := st.runScheduled(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -114,170 +105,6 @@ func (st *Study) Run(ctx context.Context) (*Results, error) {
 	}
 	st.Provenance = m
 	st.RunInfo = st.buildRunInfo(start)
-	return res, nil
-}
-
-// runSerial is the historical one-stage-at-a-time pipeline, kept as the
-// reference schedule. A cancelled context stops it between stages: the
-// current stage finishes (crawls already dispatch nothing once cancelled)
-// and no further stage starts.
-func (st *Study) runSerial(ctx context.Context) (*Results, error) {
-	ctx = obs.WithTracer(ctx, st.Tracer)
-	ctx, root := obs.StartSpan(ctx, "study/run")
-	defer root.End()
-	res := &Results{}
-
-	// measure wraps one synchronous analysis as a traced, timed stage.
-	// Once the context dies it stops running stages; the error surfaces at
-	// the next checkpoint below, so a cancelled study stops grinding
-	// through the remaining analyses.
-	measure := func(name string, fn func()) {
-		if ctx.Err() != nil {
-			return
-		}
-		_, done := st.stage(ctx, name)
-		fn()
-		done()
-	}
-	// checkpoint returns the context's error, if any, wrapped once.
-	checkpoint := func() error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: pipeline cancelled: %w", err)
-		}
-		return nil
-	}
-
-	st.Log.Infof("compiling corpus...")
-	sctx, done := st.stage(ctx, "corpus")
-	corpus, err := st.CompileCorpus(sctx)
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("core: corpus: %w", err)
-	}
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-	res.Corpus = corpus
-	st.recordCorpusStage(corpus)
-	st.Log.Infof("corpus: %d candidates -> %d porn, %d reference",
-		corpus.Candidates, len(corpus.Porn), len(corpus.Reference))
-
-	measure("analysis/rank-stability", func() { res.Figure1 = st.RankStability(corpus.Porn) })
-
-	st.Log.Infof("main crawl (ES)...")
-	sctx, done = st.stage(ctx, "crawl/porn-ES")
-	pornES, err := st.CrawlStage(sctx, corpus.Porn, "ES", "crawl/porn-ES", "porn")
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("core: porn crawl: %w", err)
-	}
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-	sctx, done = st.stage(ctx, "crawl/reference-ES")
-	regES, err := st.CrawlStage(sctx, corpus.Reference, "ES", "crawl/reference-ES", "reference")
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("core: regular crawl: %w", err)
-	}
-	regularTP := map[string]bool{}
-	for _, h := range regES.allThirdPartyHosts() {
-		regularTP[h] = true
-	}
-
-	measure("analysis/third-parties", func() {
-		res.Table2 = st.AnalyzeThirdParties(pornES, regES)
-		res.Table3 = st.AnalyzePopularityIntervals(pornES)
-		res.SharedAllIntervals, res.SharedAllIntervalsTotal = st.SharedAcrossAllIntervals(pornES)
-	})
-
-	measure("analysis/organizations", func() {
-		rows, cov := st.AnalyzeOrganizations(pornES, regES, 19)
-		res.Figure3 = rows
-		if cov.Hosts > 0 {
-			res.AttributionRate = float64(cov.Attributed) / float64(cov.Hosts)
-			res.DisconnectOnlyRate = float64(cov.DisconnectOnly) / float64(cov.Hosts)
-		}
-		res.AttributionCompanies = len(cov.Companies)
-	})
-
-	measure("analysis/cookies", func() { res.CookieCensus, res.Table4 = st.AnalyzeCookies(pornES, regularTP) })
-	measure("analysis/cookie-sync", func() { res.Figure4 = st.AnalyzeCookieSync(pornES, st.SyncEdgeThreshold()) })
-	measure("analysis/fingerprinting", func() { res.Fingerprinting = st.AnalyzeFingerprinting(pornES, regularTP) })
-	measure("analysis/https", func() { res.Table6 = st.AnalyzeHTTPS(pornES) })
-	measure("analysis/malware", func() { res.Malware = st.AnalyzeMalware(pornES) })
-	measure("analysis/monetization", func() { res.Monetization = st.AnalyzeMonetization(pornES) })
-	measure("analysis/blocking", func() { res.Blocking = st.AnalyzeBlocking(pornES) })
-	measure("analysis/rta", func() { res.RTA = st.AnalyzeRTA(pornES) })
-	measure("analysis/chains", func() { res.Chains = st.AnalyzeInclusionChains(pornES) })
-	measure("analysis/storage", func() { res.Storage = st.AnalyzeStorage(pornES) })
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	st.Log.Infof("banner crawl (US)...")
-	sctx, done = st.stage(ctx, "crawl/porn-US")
-	pornUS, err := st.CrawlStage(sctx, corpus.Porn, "US", "crawl/porn-US", "porn")
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("core: US crawl: %w", err)
-	}
-	measure("analysis/banners", func() {
-		res.Table8ES = st.AnalyzeBanners(pornES)
-		res.Table8US = st.AnalyzeBanners(pornUS)
-	})
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	st.Log.Infof("interactive crawl (ES)...")
-	sctx, done = st.stage(ctx, "crawl/interactive-ES")
-	interactive, err := st.InteractiveCrawlStage(sctx, corpus.Porn, "ES", "crawl/interactive-ES")
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("core: interactive crawl: %w", err)
-	}
-	measure("analysis/policies", func() {
-		topTracking := st.TopTrackingSites(pornES, 25)
-		res.Policies = st.AnalyzePolicies(interactive, topTracking, pornES.thirdPartyHostsBySite())
-	})
-	measure("analysis/owners", func() { res.Table1 = st.AnalyzeOwners(pornES, interactive, 15) })
-	measure("analysis/validation", func() { res.Validation = st.ValidateAgainstTruth(pornES, interactive, res.Table1) })
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	st.Log.Infof("age verification (US/UK/ES/RU)...")
-	sctx, done = st.stage(ctx, "analysis/age-verification")
-	age, err := st.AnalyzeAgeVerification(sctx, corpus.Porn)
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("core: age verification: %w", err)
-	}
-	res.AgeVerification = age
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	st.Log.Infof("geographic crawls...")
-	sctx, done = st.stage(ctx, "analysis/geo")
-	crawls := map[string]*CrawlResult{
-		"ES": pornES,
-		"US": pornUS,
-	}
-	geo, err := st.AnalyzeGeo(sctx, corpus.Porn, regularTP, crawls)
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("core: geo: %w", err)
-	}
-	res.Table7 = geo
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	// AnalyzeGeo filled crawls with every vantage, so the robustness
-	// summary covers the whole study.
-	measure("analysis/robustness", func() { res.Robustness = st.AnalyzeRobustness(crawls) })
 	return res, nil
 }
 
@@ -315,9 +142,9 @@ func newPipeState() *pipeState {
 // porn and reference crawls overlap, the US, interactive,
 // age-verification and geographic vantage crawls all fan out the moment
 // the corpus lands, and every analysis fires as soon as its inputs
-// resolve. The graph is data-equivalent to runSerial — each Results field
-// is written by exactly one stage, and every edge mirrors a true data
-// dependency — so scheduling changes wall-clock, never results.
+// resolve. Each Results field is written by exactly one stage, and every
+// edge mirrors a true data dependency, so the worker count changes
+// wall-clock, never results.
 func (st *Study) runScheduled(ctx context.Context) (*Results, error) {
 	ctx = obs.WithTracer(ctx, st.Tracer)
 	ctx, root := obs.StartSpan(ctx, "study/run")

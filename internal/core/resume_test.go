@@ -2,66 +2,36 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
-	"time"
 
 	"pornweb/internal/provenance"
 	"pornweb/internal/store"
-	"pornweb/internal/webgen"
 )
 
 // storeCfg is provCfg with a durable visit store attached.
 func storeCfg(seed uint64, dir string) Config {
-	return Config{
-		Params:    webgen.Params{Seed: seed, Scale: 0.004},
-		Countries: []string{"ES", "US", "RU"},
-		Workers:   4,
-		Timeout:   5 * time.Second,
-		StoreDir:  dir,
-	}
-}
-
-// runToCompletion runs one full study and closes it, returning the
-// manifest bytes WriteProvenance would emit. Unlike runManifest it
-// closes the study before returning, releasing the store directory for
-// a subsequent resume.
-func runToCompletion(t *testing.T, cfg Config) (*provenance.Manifest, []byte) {
-	t.Helper()
-	st, err := NewStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.Run(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if st.Provenance == nil {
-		t.Fatal("Run completed but Study.Provenance is nil")
-	}
-	raw, err := json.MarshalIndent(st.Provenance, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st.Provenance, append(raw, '\n')
+	cfg := provCfg(seed)
+	cfg.StoreDir = dir
+	return cfg
 }
 
 // TestResumeEquivalence is the crash-safety property in miniature: a
 // store-backed run killed at a seeded append, then resumed against the
 // surviving directory, must produce a manifest byte-identical to an
 // uninterrupted run — for a kill before the first durable visit, one
-// mid-corpus, and one at the last append.
+// mid-corpus, and one at the last append — and must replay exactly the
+// durable prefix and append exactly the visits the kill lost.
 func TestResumeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs seven full studies")
 	}
 	const seed = 11
-	base, rawBase := runToCompletion(t, storeCfg(seed, t.TempDir()))
-	if base.Store == nil || base.Store.Entries == 0 {
+	base, rawBase := runManifest(t, storeCfg(seed, t.TempDir()))
+	if base.Provenance.Store == nil || base.Provenance.Store.Entries == 0 {
 		t.Fatal("store-backed run recorded no store info in its manifest")
 	}
-	total := base.Store.Entries
+	total := base.Provenance.Store.Entries
 
 	kills := []struct {
 		name  string
@@ -98,14 +68,22 @@ func TestResumeEquivalence(t *testing.T) {
 			// Run 2: resume replays the durable prefix and crawls the rest.
 			rcfg := storeCfg(seed, dir)
 			rcfg.StoreResume = true
-			resumed, rawResumed := runToCompletion(t, rcfg)
+			resumed, rawResumed := runManifest(t, rcfg)
 			if !bytes.Equal(rawBase, rawResumed) {
 				var buf bytes.Buffer
-				provenance.Diff(base, resumed).Format(&buf)
+				provenance.Diff(base.Provenance, resumed.Provenance).Format(&buf)
 				t.Fatalf("resumed manifest differs from uninterrupted run:\n%s", buf.String())
 			}
-			if resumed.Store.Entries != total {
-				t.Fatalf("resumed store holds %d entries, want %d", resumed.Store.Entries, total)
+			if resumed.Provenance.Store.Entries != total {
+				t.Fatalf("resumed store holds %d entries, want %d", resumed.Provenance.Store.Entries, total)
+			}
+			// A durable visit is never refetched. A dropped durable visit
+			// would be re-crawled identically, so only the counts show it.
+			replayed := resumed.Metrics.Counter("store_replay_records_total").Value()
+			appended := resumed.Metrics.Counter("store_append_total").Value()
+			if int(replayed) != durable || int(appended) != total-durable {
+				t.Errorf("resume replayed %d and appended %d entries, want %d and %d",
+					replayed, appended, durable, total-durable)
 			}
 		})
 	}

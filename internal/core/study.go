@@ -8,11 +8,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/pprof"
+	"runtime"
 	"sync"
 	"time"
 
@@ -39,13 +38,9 @@ type Config struct {
 	Workers int
 	// StageWorkers bounds how many *pipeline stages* (vantage crawls and
 	// analyses) the DAG scheduler runs concurrently; 0 defaults to
-	// runtime.NumCPU(). Orthogonal to Workers: total in-flight page loads
-	// peak at StageWorkers x Workers.
+	// runtime.NumCPU(), and 1 runs one stage at a time. Orthogonal to
+	// Workers: total in-flight page loads peak at StageWorkers x Workers.
 	StageWorkers int
-	// Serial disables the DAG scheduler and runs every pipeline stage
-	// strictly sequentially — the historical execution order, kept as the
-	// reference schedule for the equivalence tests.
-	Serial bool
 	// Timeout bounds a single page load (the paper used 120 s; the
 	// loopback substrate needs far less).
 	Timeout time.Duration
@@ -109,9 +104,9 @@ type Config struct {
 	// Shards, when > 1, partitions every named crawl stage's host list
 	// by registrable domain into this many shards and dispatches them
 	// across a worker fleet instead of crawling in-process. The merged
-	// results — and the run manifest — are byte-identical to a serial
-	// run's (the shard-equivalence gate's claim). 0 or 1 keeps the
-	// serial path.
+	// results — and the run manifest — are byte-identical to an
+	// unsharded run's (the shard-equivalence gate's claim). 0 or 1
+	// crawls in-process.
 	Shards int
 	// ShardWorkers sizes the in-process local worker fleet (default:
 	// one worker per shard). Ignored when CoordinatorAddr is set —
@@ -144,6 +139,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers == 0 {
 		c.Workers = 8
+	}
+	if c.StageWorkers == 0 {
+		c.StageWorkers = runtime.NumCPU()
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 15 * time.Second
@@ -357,7 +355,7 @@ func NewStudy(cfg Config) (*Study, error) {
 		}
 		admin, err := obs.ServeAdmin(cfg.MetricsAddr, reg, tracer, st.Flight, extra...)
 		if err != nil {
-			srv.Close()
+			st.Close()
 			return nil, fmt.Errorf("core: admin listener: %w", err)
 		}
 		st.admin = admin
@@ -408,30 +406,4 @@ func (st *Study) session(country, phase string) (*crawler.Session, error) {
 		PageBudget:  st.Cfg.PageBudget,
 		Flight:      st.Flight,
 	})
-}
-
-// stage opens a traced, timed pipeline stage: a span named stage/<name>
-// plus an observation in the study_stage_seconds histogram when the
-// returned func runs. The serial path has no worker goroutine to wrap in
-// pprof.Do, so it sets the stage label on the calling goroutine directly
-// (goroutines the stage spawns inherit it) and clears it in the done
-// func; resource snapshots bracket the stage the same way the scheduler
-// brackets its workers, feeding the study_stage_* resource metrics.
-func (st *Study) stage(ctx context.Context, name string) (context.Context, func()) {
-	//studylint:ignore metricnames the serial runner forwards declared stage names; buildPipeline is the single source of the (static) stage set
-	ctx = pprof.WithLabels(ctx, pprof.Labels("stage", name))
-	pprof.SetGoroutineLabels(ctx)
-	ctx, span := st.Tracer.Start(ctx, "stage/"+name)
-	h := st.Metrics.Histogram("study_stage_seconds", obs.StageBuckets, "stage", name)
-	start := st.clock()
-	startRes := obs.TakeResourceSnapshot()
-	return ctx, func() {
-		st.Metrics.RecordStageResources(name, startRes, obs.TakeResourceSnapshot())
-		pprof.SetGoroutineLabels(context.Background())
-		d := st.clock().Sub(start)
-		h.Observe(d.Seconds())
-		span.End()
-		st.prov.RecordTiming(name, d)
-		st.Log.Event(obs.LevelDebug, "stage done", "stage", name, "took", d.Round(time.Millisecond))
-	}
 }

@@ -14,9 +14,9 @@ import (
 // even when stages overlap — but they are *process* odometers, so when
 // the scheduler runs stages concurrently each running stage counts the
 // work of every other stage active at the same time. With one stage
-// worker (or the serial pipeline) the attribution is exact; under
-// concurrency it is an upper bound, and the pprof-label attribution in
-// cmd/studyprof is the precise per-stage split.
+// worker the attribution is exact; under concurrency it is an upper
+// bound, and the pprof-label attribution in cmd/studyprof is the precise
+// per-stage split.
 type ResourceSnapshot struct {
 	// CPU is the process's cumulative user+system CPU time (zero on
 	// platforms without rusage support).

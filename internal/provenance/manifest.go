@@ -89,7 +89,6 @@ type RunInfo struct {
 	StartedAt     time.Time          `json:"started_at"`
 	WallMS        float64            `json:"wall_ms"`
 	StageWallMS   map[string]float64 `json:"stage_wall_ms,omitempty"`
-	Serial        bool               `json:"serial"`
 	StageWorkers  int                `json:"stage_workers"`
 	FlightSeen    uint64             `json:"flight_seen,omitempty"`
 	FlightKept    uint64             `json:"flight_kept,omitempty"`

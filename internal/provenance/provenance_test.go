@@ -142,17 +142,17 @@ func TestManifestWriteDeterministicBytes(t *testing.T) {
 func TestRunInfoWrite(t *testing.T) {
 	dir := t.TempDir()
 	ri := &RunInfo{
-		StartedAt:   time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC),
-		WallMS:      1234.5,
-		StageWallMS: map[string]float64{"corpus": 30},
-		Serial:      true,
+		StartedAt:    time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC),
+		WallMS:       1234.5,
+		StageWallMS:  map[string]float64{"corpus": 30},
+		StageWorkers: 1,
 	}
 	path := filepath.Join(dir, "runinfo.json")
 	if err := ri.Write(path); err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := os.ReadFile(path)
-	if !bytes.Contains(raw, []byte(`"stage_wall_ms"`)) {
+	if !bytes.Contains(raw, []byte(`"stage_wall_ms"`)) || !bytes.Contains(raw, []byte(`"stage_workers": 1`)) {
 		t.Fatalf("runinfo content: %s", raw)
 	}
 }

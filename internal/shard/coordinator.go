@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -354,7 +355,7 @@ func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	alreadyClosed := c.closed
 	c.closed = true
-	srv := c.srv
+	srv, ln := c.srv, c.ln
 	c.srv = nil
 	c.ln = nil
 	var remotes []*RemoteWorker
@@ -374,7 +375,14 @@ func (c *Coordinator) Close() error {
 	if srv == nil {
 		return nil
 	}
-	if err := srv.Close(); err != nil {
+	err := srv.Close()
+	// srv.Close only closes the listeners Serve has begun tracking, and
+	// Serve may not have started yet: close ln too, so the port is free
+	// when Close returns.
+	if lerr := ln.Close(); err == nil && !errors.Is(lerr, net.ErrClosed) {
+		err = lerr
+	}
+	if err != nil {
 		return fmt.Errorf("shard: coordinator close: %w", err)
 	}
 	return nil

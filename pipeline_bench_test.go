@@ -1,9 +1,10 @@
-// Pipeline-level benchmarks: the whole study end to end, serial vs
-// scheduled. `make bench-json` runs exactly these two and folds the
-// timings into BENCH_pipeline.json (ns/op per path plus the speedup
-// ratio). The scheduled path's advantage scales with cores — on a
-// single-CPU machine the two are expected to tie, since every stage is
-// CPU-bound loopback work.
+// Pipeline-level benchmarks: the whole study end to end, one stage at a
+// time ("Serial", StageWorkers 1) vs NumCPU stage workers ("Scheduled").
+// `make bench-json` runs exactly these two and folds the timings into
+// BENCH_pipeline.json (ns/op per schedule plus the speedup ratio). The
+// parallel schedule's advantage scales with cores — on a single-CPU
+// machine the two are expected to tie, since every stage is CPU-bound
+// loopback work.
 package pornweb_test
 
 import (
@@ -24,13 +25,13 @@ import (
 // size where one full run takes a few seconds.
 const pipelineBenchScale = 0.01
 
-func benchStudy(b *testing.B, serial bool) {
+func benchStudy(b *testing.B, stageWorkers int) {
 	b.Helper()
 	st, err := core.NewStudy(core.Config{
-		Params:  webgen.Params{Seed: 2019, Scale: pipelineBenchScale},
-		Workers: 8,
-		Serial:  serial,
-		Timeout: 20 * time.Second,
+		Params:       webgen.Params{Seed: 2019, Scale: pipelineBenchScale},
+		Workers:      8,
+		StageWorkers: stageWorkers,
+		Timeout:      20 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -45,8 +46,8 @@ func benchStudy(b *testing.B, serial bool) {
 	}
 }
 
-func BenchmarkStudyRunSerial(b *testing.B)    { benchStudy(b, true) }
-func BenchmarkStudyRunScheduled(b *testing.B) { benchStudy(b, false) }
+func BenchmarkStudyRunSerial(b *testing.B)    { benchStudy(b, 1) }
+func BenchmarkStudyRunScheduled(b *testing.B) { benchStudy(b, 0) }
 
 // benchShardedStudy is the pipeline with every crawl stage partitioned
 // into 8 shards dispatched across an in-process fleet of the given
@@ -54,7 +55,7 @@ func BenchmarkStudyRunScheduled(b *testing.B) { benchStudy(b, false) }
 // (each wave deals one shard per live worker, and a worker visits its
 // shard sequentially), so the workers-1/2/4 series in BENCH_shard.json
 // shows how crawl wall-clock scales with fleet size while the merged
-// results stay byte-identical to serial.
+// results stay byte-identical to the unsharded run.
 func benchShardedStudy(b *testing.B, workers int) {
 	b.Helper()
 	st, err := core.NewStudy(core.Config{

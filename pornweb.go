@@ -34,10 +34,11 @@
 //
 // Run executes the pipeline as a dependency graph on internal/sched:
 // independent crawls and analyses overlap, bounded by
-// StudyConfig.StageWorkers (default NumCPU). StudyConfig.Serial restores
-// the historical strictly sequential stage order; both paths produce
-// identical results — the schedule-equivalence tests in this package pin
-// a byte-identical report across schedules.
+// StudyConfig.StageWorkers (default NumCPU; 1 runs one stage at a time).
+// Every worker count, shard count and resume produces identical results —
+// TestScheduleEquivalence, TestShardEquivalence and TestManifestEquivalence
+// in this package pin identical Results, report and manifest bytes across
+// them, and internal/core's TestResumeEquivalence pins resumed manifests.
 //
 // This package is a thin facade over the implementation packages; the
 // exported aliases below are the stable public API.
