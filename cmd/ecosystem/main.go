@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -27,13 +28,30 @@ import (
 )
 
 func main() {
-	scale := flag.Float64("scale", 0.02, "corpus scale (1.0 = paper size)")
-	seed := flag.Uint64("seed", 2019, "generation seed")
-	serve := flag.Bool("serve", false, "start the loopback server and wait")
-	hosts := flag.Bool("hosts", false, "list every served hostname")
-	metricsAddr := flag.String("metrics-addr", "", "with -serve, expose /metrics and /debug/pprof/ on this address")
-	faults := flag.Bool("faults", false, "inject the default chaos profile into the generated ecosystem")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, waitInterrupt); err != nil {
+		fmt.Fprintln(os.Stderr, "ecosystem:", err)
+		os.Exit(1)
+	}
+}
+
+// waitInterrupt blocks until the process receives an interrupt.
+func waitInterrupt() {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	<-sig
+}
+
+// run is the command with its arguments, its output and, for -serve,
+// the wait that keeps the server up.
+func run(args []string, stdout io.Writer, wait func()) error {
+	fs := flag.NewFlagSet("ecosystem", flag.ExitOnError)
+	scale := fs.Float64("scale", 0.02, "corpus scale (1.0 = paper size)")
+	seed := fs.Uint64("seed", 2019, "generation seed")
+	serve := fs.Bool("serve", false, "start the loopback server and wait")
+	hosts := fs.Bool("hosts", false, "list every served hostname")
+	metricsAddr := fs.String("metrics-addr", "", "with -serve, expose /metrics and /debug/pprof/ on this address")
+	faults := fs.Bool("faults", false, "inject the default chaos profile into the generated ecosystem")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits before Parse returns
 
 	params := webgen.Params{Seed: *seed, Scale: *scale}
 	if *faults {
@@ -41,7 +59,7 @@ func main() {
 		params.Faults.Geo451 = true
 	}
 	eco := webgen.Generate(params)
-	fmt.Print(eco.GroundTruthSummary())
+	fmt.Fprint(stdout, eco.GroundTruthSummary())
 	if *faults {
 		byKind := map[webgen.FaultKind]int{}
 		for _, h := range eco.AllHosts() {
@@ -49,15 +67,15 @@ func main() {
 				byKind[k]++
 			}
 		}
-		fmt.Println("\ninjected faults (ground truth):")
+		fmt.Fprintln(stdout, "\ninjected faults (ground truth):")
 		for k := webgen.FaultServerError; k <= webgen.FaultLatency; k++ {
 			if byKind[k] > 0 {
-				fmt.Printf("  %-14s %4d hosts\n", k, byKind[k])
+				fmt.Fprintf(stdout, "  %-14s %4d hosts\n", k, byKind[k])
 			}
 		}
 	}
 
-	fmt.Println("\nowner clusters (ground truth):")
+	fmt.Fprintln(stdout, "\nowner clusters (ground truth):")
 	byOwner := map[string]int{}
 	for _, s := range eco.PornSites {
 		if s.Owner != nil {
@@ -79,13 +97,13 @@ func main() {
 		return clusters[i].name < clusters[j].name
 	})
 	for _, c := range clusters {
-		fmt.Printf("  %-32s %4d sites\n", c.name, c.n)
+		fmt.Fprintf(stdout, "  %-32s %4d sites\n", c.name, c.n)
 	}
 
 	if *hosts {
-		fmt.Println("\nhosts:")
+		fmt.Fprintln(stdout, "\nhosts:")
 		for _, h := range eco.AllHosts() {
-			fmt.Println(" ", h)
+			fmt.Fprintln(stdout, " ", h)
 		}
 	}
 
@@ -100,23 +118,24 @@ func main() {
 		}
 		srv, err := webserver.Start(eco, opts...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ecosystem:", err)
-			os.Exit(1)
+			return err
 		}
 		defer srv.Close()
 		if reg != nil {
 			admin, err := obs.ServeAdmin(*metricsAddr, reg, nil, nil)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "ecosystem:", err)
-				os.Exit(1)
+				return err
 			}
 			defer admin.Close()
-			fmt.Printf("\nobservability: http://%s/metrics\n", admin.Addr())
+			fmt.Fprintf(stdout, "\nobservability: http://%s/metrics\n", admin.Addr())
 		}
-		fmt.Printf("\nserving: http=%s https=%s\n", srv.HTTPAddr(), srv.HTTPSAddr())
-		fmt.Printf("example: curl -H 'Host: pornhub.com' http://%s/\n", srv.HTTPAddr())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
+		httpAddr, httpsAddr, err := srv.ListenTCP()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nserving: http=%s https=%s\n", httpAddr, httpsAddr)
+		fmt.Fprintf(stdout, "example: curl -H 'Host: pornhub.com' http://%s/\n", httpAddr)
+		wait()
 	}
+	return nil
 }

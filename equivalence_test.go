@@ -47,7 +47,7 @@ func equivConfig() core.Config {
 // stage worker it reproduces internal/core/testdata/manifest.golden.json.
 // The fleet tests derive from it too, so they share its reference. Its
 // 5 s page timeout is part of the config fingerprint, so remote fleet
-// workers must carry it too; loopback pages load in milliseconds, and a
+// workers must carry it too; in-memory pages load in milliseconds, and a
 // visit that did time out would change its record and fail the byte
 // comparison against the reference rather than pass unnoticed.
 func smallConfig() core.Config {

@@ -42,7 +42,7 @@ type Config struct {
 	// Workers: total in-flight page loads peak at StageWorkers x Workers.
 	StageWorkers int
 	// Timeout bounds a single page load (the paper used 120 s; the
-	// loopback substrate needs far less).
+	// in-memory substrate needs far less).
 	Timeout time.Duration
 	// Log receives progress lines when non-nil. Deprecated in favour of
 	// Logger; when set it is kept working as a sink behind the structured
@@ -162,7 +162,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Study is a fully wired measurement environment: the generated ecosystem,
-// its loopback server, the longitudinal rank dataset and the blocklists.
+// its in-memory server, the longitudinal rank dataset and the blocklists.
 type Study struct {
 	Cfg  Config
 	Eco  *webgen.Ecosystem

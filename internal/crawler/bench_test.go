@@ -10,7 +10,7 @@ import (
 	"pornweb/internal/webserver"
 )
 
-// benchSession builds a session against a loopback ecosystem, wired to
+// benchSession builds a session against an in-memory ecosystem, wired to
 // reg (nil = uninstrumented) and returns it with a responsive porn host.
 func benchSession(b *testing.B, reg *obs.Registry) (*Session, string) {
 	b.Helper()
@@ -45,7 +45,8 @@ func benchSession(b *testing.B, reg *obs.Registry) (*Session, string) {
 }
 
 // benchFetch measures the full crawler request path end to end over
-// loopback: dial, request, response read, redirect handling, logging.
+// the in-memory transport: dial, request, response read, redirect
+// handling, logging.
 func benchFetch(b *testing.B, reg *obs.Registry) {
 	sess, host := benchSession(b, reg)
 	url := "http://" + host + "/"

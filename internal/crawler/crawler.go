@@ -249,15 +249,15 @@ func newSessionMetrics(reg *obs.Registry, country string) sessionMetrics {
 func NewSession(cfg Config) (*Session, error) {
 	cfg = cfg.withDefaults()
 	// Connection pooling is tuned for a crawl that contacts tens of
-	// thousands of distinct hostnames behind one loopback server. The
-	// transport pools per hostname, so the default small global idle cap
-	// (100) would evict-and-close thousands of connections per second —
-	// every close burns a client ephemeral port for a TIME_WAIT interval
-	// and a paper-scale crawl exhausts the port range within seconds.
-	// Unlimited idle connections with a short idle timeout keep hot
-	// tracker connections warm (ExoClick is contacted from 43% of sites).
-	// One-shot connections are closed when the stage that opened the
-	// session ends and calls Close.
+	// thousands of distinct hostnames behind one server. The transport
+	// pools per hostname, so the default small global idle cap (100)
+	// would evict-and-close tracker connections that are about to be
+	// reused. Unlimited idle connections with a short idle timeout keep
+	// hot tracker connections warm (ExoClick is contacted from 43% of
+	// sites); with the server's Connection: close for one-shot hosts,
+	// these settings fix the handshakes per visit and requests per
+	// handshake a run reports. Pooled connections are closed when the
+	// stage that opened the session ends and calls Close.
 	tr := &http.Transport{
 		MaxIdleConns:        0, // unlimited
 		MaxIdleConnsPerHost: 8,

@@ -100,7 +100,7 @@ func Classify(err error) Class {
 		return ClassTruncated
 	case strings.Contains(msg, "redirect"):
 		return ClassRedirectLoop
-	// A refused loopback vhost closes the accepted connection before
+	// A refused vhost closes the accepted connection before
 	// writing, which the client reads as a bare EOF.
 	case strings.Contains(msg, "refused"), strings.Contains(msg, "EOF"),
 		strings.Contains(msg, "no such host"):

@@ -1,17 +1,22 @@
-// Package webserver serves the generated ecosystem over real HTTP and HTTPS
-// on loopback. A single listener pair hosts every site and service through
-// virtual hosting (Host-header demultiplexing); the TLS listener issues
-// per-host certificates on demand from an in-memory CA via SNI, but only
-// for hosts that support HTTPS — requesting a TLS session for an HTTP-only
-// host fails the handshake exactly as a real server without a certificate
-// would, which is what drives the crawler's HTTPS-then-downgrade probing
-// (Section 5.2 of the paper).
+// Package webserver serves the generated ecosystem over real HTTP and
+// HTTPS, in memory. One plain and one TLS http.Server host every site and
+// service through virtual hosting (Host-header demultiplexing); the TLS
+// side issues per-host certificates on demand from an in-memory CA via
+// SNI, but only for hosts that support HTTPS — requesting a TLS session
+// for an HTTP-only host fails the handshake exactly as a real server
+// without a certificate would, which is what drives the crawler's
+// HTTPS-then-downgrade probing (Section 5.2 of the paper).
 //
-// The crawler reaches the server through DialContext, which resolves every
-// hostname to the loopback listeners — the offline stand-in for DNS. The
-// vantage country and the crawl phase travel in the X-Vantage-Country and
-// X-Crawl-Phase request headers, injected by the crawler's transport (the
-// offline stand-in for VPN egress geography).
+// The crawler reaches the server through DialContext, which resolves
+// every hostname to the server — the offline stand-in for DNS — and
+// returns the client end of an in-memory connection pair. The bytes on
+// it are the real TLS records and HTTP/1.1 messages; only the kernel's
+// loopback stack is left out, because no analysis reads it. ListenTCP
+// additionally serves the same servers on loopback sockets for clients
+// outside the process. The vantage country and the crawl phase travel
+// in the X-Vantage-Country and X-Crawl-Phase request headers, injected
+// by the crawler's transport (the offline stand-in for VPN egress
+// geography).
 package webserver
 
 import (
@@ -33,6 +38,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pornweb/internal/obs"
@@ -53,10 +59,13 @@ var serveLabels = pprof.Labels("stage", "serve")
 type Server struct {
 	Eco *webgen.Ecosystem
 
-	httpLn   net.Listener
-	httpsLn  net.Listener
+	httpLn   *memListener
+	httpsLn  *memListener
 	httpSrv  *http.Server
 	httpsSrv *http.Server
+	tlsConf  *tls.Config
+	// ports numbers the client ends of dialed pairs.
+	ports atomic.Uint32
 
 	caCert *x509.Certificate
 	caKey  *ecdsa.PrivateKey
@@ -131,8 +140,8 @@ func WithLogger(l *obs.Logger) Option {
 	return func(s *Server) { s.log = l }
 }
 
-// Start generates the CA, binds both listeners on loopback and begins
-// serving. Callers must Close the server.
+// Start generates the CA and begins serving in memory; it binds no
+// socket. Callers must Close the server.
 func Start(eco *webgen.Ecosystem, opts ...Option) (*Server, error) {
 	s := &Server{
 		Eco:    eco,
@@ -146,18 +155,9 @@ func Start(eco *webgen.Ecosystem, opts ...Option) (*Server, error) {
 	if err := s.initCA(); err != nil {
 		return nil, fmt.Errorf("webserver: init CA: %w", err)
 	}
-	var err error
-	s.httpLn, err = net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("webserver: listen http: %w", err)
-	}
-	tcpLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		s.httpLn.Close()
-		return nil, fmt.Errorf("webserver: listen https: %w", err)
-	}
-	tlsConf := &tls.Config{GetCertificate: s.getCertificate}
-	s.httpsLn = tls.NewListener(tcpLn, tlsConf)
+	s.httpLn = newMemListener(80)
+	s.httpsLn = newMemListener(443)
+	s.tlsConf = &tls.Config{GetCertificate: s.getCertificate}
 
 	handler := http.HandlerFunc(s.handle)
 	// Server-side error lines (mostly TLS handshake failures for HTTP-only
@@ -167,52 +167,73 @@ func Start(eco *webgen.Ecosystem, opts ...Option) (*Server, error) {
 	errLog := log.New(s.log.WithComponent("webserver").StdWriter(obs.LevelDebug, s.met.errLogLines), "", 0)
 	s.httpSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, ErrorLog: errLog}
 	s.httpsSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, ErrorLog: errLog}
-	// serveUnder labels the accept-loop goroutine; every per-connection
-	// goroutine net/http spawns from it inherits the label set, so the
-	// whole server side — TLS handshakes, request parsing, handlers,
-	// response flushing — profiles under stage=serve, a named row in
-	// studyprof's table distinct from the crawler-side stages.
-	serveUnder := func(srv *http.Server, ln net.Listener) {
-		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), serveLabels))
-		srv.Serve(ln)
-	}
-	go serveUnder(s.httpSrv, s.httpLn)
-	go serveUnder(s.httpsSrv, s.httpsLn)
+	go serveLabeled(func() { s.httpSrv.Serve(s.httpLn) })
+	go serveLabeled(func() { s.httpsSrv.Serve(tls.NewListener(s.httpsLn, s.tlsConf)) })
 	return s, nil
 }
 
-// Close stops both listeners and closes every open connection at once,
-// without a graceful drain: the server's only client is the study's own
-// crawler, which has finished when its owner calls Close. Close is
-// idempotent.
+// serveLabeled runs an accept loop under the stage=serve profile label;
+// every per-connection goroutine net/http spawns from it inherits the
+// label set, so the whole server side — TLS handshakes, request parsing,
+// handlers, response flushing — profiles under stage=serve, a named row
+// in studyprof's table distinct from the crawler-side stages.
+func serveLabeled(acceptLoop func()) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), serveLabels))
+	acceptLoop()
+}
+
+// ListenTCP also serves the ecosystem on two loopback TCP listeners, for
+// clients outside the process such as curl or a browser, and returns
+// their addresses. The listeners feed the same two http.Servers, so
+// Close shuts them with everything else.
+func (s *Server) ListenTCP() (httpAddr, httpsAddr string, err error) {
+	httpLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", "", fmt.Errorf("webserver: listen http: %w", err)
+	}
+	httpsLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		httpLn.Close()
+		return "", "", fmt.Errorf("webserver: listen https: %w", err)
+	}
+	go serveLabeled(func() { s.httpSrv.Serve(httpLn) })
+	go serveLabeled(func() { s.httpsSrv.Serve(tls.NewListener(httpsLn, s.tlsConf)) })
+	return httpLn.Addr().String(), httpsLn.Addr().String(), nil
+}
+
+// Close stops accepting, makes every later dial fail as refused, and
+// closes every open connection at once, without a graceful drain: the
+// server's only in-process client is the study's own crawler, which has
+// finished when its owner calls Close. Close is idempotent.
 func (s *Server) Close() {
 	s.httpSrv.Close()
 	s.httpsSrv.Close()
+	// http.Server.Close closes only the listeners its Serve loops have
+	// registered; one whose goroutine has not run yet is closed here.
+	s.httpLn.Close()
+	s.httpsLn.Close()
 }
-
-// HTTPAddr returns the plain listener address.
-func (s *Server) HTTPAddr() string { return s.httpLn.Addr().String() }
-
-// HTTPSAddr returns the TLS listener address.
-func (s *Server) HTTPSAddr() string { return s.httpsLn.Addr().String() }
 
 // CertPool returns a pool trusting the in-memory CA, for crawler TLS
 // verification.
 func (s *Server) CertPool() *x509.CertPool { return s.caPool }
 
-// DialContext resolves any hostname to the loopback listeners: port 443 to
-// the TLS listener, anything else to the plain one.
+// DialContext resolves any hostname to the server and returns the client
+// end of a new in-memory connection: port 443 reaches the TLS server,
+// anything else the plain one. The server sees the client at
+// 127.0.0.1, as it would over loopback.
 func (s *Server) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
 	_, port, err := net.SplitHostPort(addr)
 	if err != nil {
 		return nil, err
 	}
-	target := s.HTTPAddr()
+	ln := s.httpLn
 	if port == "443" {
-		target = s.HTTPSAddr()
+		ln = s.httpsLn
 	}
-	var d net.Dialer
-	return d.DialContext(ctx, network, target)
+	// Client ports cycle through Linux's default ephemeral range.
+	local := &net.TCPAddr{IP: loopback, Port: 32768 + int(s.ports.Add(1)%28232)}
+	return ln.dial(ctx, local)
 }
 
 func (s *Server) initCA() error {
@@ -341,7 +362,9 @@ func (s *Server) countRequest(host string, secure bool) {
 	}
 }
 
-// handle adapts net/http to the ecosystem's virtual server.
+// handle adapts net/http to the ecosystem's virtual server. The client
+// IP it passes on comes from r.RemoteAddr, which both transports report
+// as 127.0.0.1; cookies that embed the client IP depend on it.
 func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	host := r.Host
 	if h, _, err := net.SplitHostPort(host); err == nil {
@@ -385,8 +408,8 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := s.Eco.Respond(req)
 	if resp.Status == 0 {
-		// Connection refused / dead host: cut the TCP stream without an
-		// HTTP response so the client sees a transport error.
+		// Connection refused / dead host: cut the stream without an HTTP
+		// response so the client sees a transport error.
 		s.refuse(w, host)
 		return
 	}
@@ -400,11 +423,10 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	// Connection discipline: site hosts and long-tail asset hosts are
 	// contacted once per crawl, so the server closes those connections
-	// (sending the first FIN keeps the TIME_WAIT state on the server
-	// side, where it does not consume the crawler's ephemeral ports —
-	// at paper scale the crawl would otherwise exhaust the client port
-	// range). Tracker hosts are contacted from thousands of sites and
-	// stay keep-alive for connection reuse.
+	// after one response. Tracker hosts are contacted from thousands of
+	// sites and stay keep-alive for connection reuse. Together with the
+	// crawler's pool settings this fixes the traffic shape the run
+	// reports: handshakes per visit and requests per handshake.
 	if !s.isServiceHost(host) {
 		w.Header().Set("Connection", "close")
 	}
@@ -524,9 +546,9 @@ func (s *Server) applyFault(w http.ResponseWriter, r *http.Request, host string,
 	return false
 }
 
-// resetMidStream writes a partial raw response and then aborts the TCP
-// stream with an RST, so the client reads "connection reset by peer"
-// instead of a clean EOF.
+// resetMidStream writes a partial raw response and then aborts the
+// stream, so the client reads "connection reset by peer" instead of a
+// clean EOF.
 func (s *Server) resetMidStream(w http.ResponseWriter, host string, req webgen.Request) {
 	hj, ok := w.(http.Hijacker)
 	if !ok {
@@ -550,19 +572,23 @@ func (s *Server) resetMidStream(w http.ResponseWriter, host string, req webgen.R
 	abortConn(conn)
 }
 
-// abortConn closes conn with a TCP RST (SO_LINGER 0). For TLS streams
-// the raw TCP connection is closed directly — a tls.Conn.Close would
+// abortConn aborts conn the way a TCP RST does. For TLS streams the
+// underlying connection is aborted directly — a tls.Conn.Close would
 // send close_notify first, which the client would read as a clean EOF
-// rather than a reset.
+// rather than a reset. An in-memory conn is reset in place; a socket
+// from ListenTCP is closed with SO_LINGER 0.
 func abortConn(conn net.Conn) {
 	raw := conn
 	if tc, ok := conn.(*tls.Conn); ok {
 		raw = tc.NetConn()
 	}
-	if tcp, ok := raw.(*net.TCPConn); ok {
-		tcp.SetLinger(0)
-		tcp.Close()
-		return
+	switch c := raw.(type) {
+	case *memConn:
+		c.reset()
+	case *net.TCPConn:
+		c.SetLinger(0)
+		c.Close()
+	default:
+		conn.Close()
 	}
-	conn.Close()
 }

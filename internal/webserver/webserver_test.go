@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/tls"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -285,5 +286,41 @@ func TestCloseIgnoresUnusedTLSConn(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Error("connection still readable after Close")
+	}
+}
+
+// TestListenTCP fetches over the real loopback sockets the way curl does
+// against `ecosystem -serve`: the vhost comes from the Host header over
+// plain HTTP and from SNI over TLS.
+func TestListenTCP(t *testing.T) {
+	srv, eco := startTest(t)
+	site := pickSite(t, eco, func(s *webgen.Site) bool { return s.HTTPS && !s.Flaky && !s.Unresponsive })
+	httpAddr, httpsAddr, err := srv.ListenTCP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &http.Transport{TLSClientConfig: &tls.Config{ServerName: site.Host, RootCAs: srv.CertPool()}}
+	defer tr.CloseIdleConnections()
+	c := &http.Client{Transport: tr}
+	for _, url := range []string{"http://" + httpAddr + "/", "https://" + httpsAddr + "/"} {
+		req, _ := http.NewRequest(http.MethodGet, url, nil)
+		req.Host = site.Host
+		resp, err := c.Do(req)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || !strings.Contains(string(body), "<html") {
+			t.Errorf("GET %s: status %d, body %.40q", url, resp.StatusCode, body)
+		}
+		if resp.TLS != nil && resp.TLS.PeerCertificates[0].Subject.CommonName != site.Host {
+			t.Errorf("GET %s: cert CN = %q, want %q", url, resp.TLS.PeerCertificates[0].Subject.CommonName, site.Host)
+		}
+	}
+	srv.Close()
+	if conn, err := net.DialTimeout("tcp", httpAddr, time.Second); err == nil {
+		conn.Close()
+		t.Error("TCP listener still accepting after Close")
 	}
 }

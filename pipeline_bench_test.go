@@ -4,7 +4,7 @@
 // BENCH_pipeline.json (ns/op per schedule plus the speedup ratio). The
 // parallel schedule's advantage scales with cores — on a single-CPU
 // machine the two are expected to tie, since every stage is CPU-bound
-// loopback work.
+// in-process work.
 package pornweb_test
 
 import (

@@ -8,8 +8,9 @@
 //     paper's measured distributions (sites, trackers, cookies, sync
 //     partnerships, fingerprinting scripts, consent surfaces, geographic
 //     behaviour);
-//   - a loopback HTTP/HTTPS substrate serving that ecosystem with real
-//     TLS, per-host certificates and virtual hosting;
+//   - an HTTP/HTTPS substrate serving that ecosystem with real TLS,
+//     per-host certificates and virtual hosting over in-memory
+//     connections (and on loopback sockets on request);
 //   - an instrumented crawler and page-loading engine (the OpenWPM
 //     analog) plus an interactive crawler (the Selenium analog);
 //   - the full analysis pipeline behind every table and figure of the
@@ -70,7 +71,7 @@ type Site = webgen.Site
 // Service is one generated third-party service.
 type Service = webgen.Service
 
-// Server hosts an ecosystem over loopback HTTP and HTTPS.
+// Server hosts an ecosystem over in-memory HTTP and HTTPS.
 type Server = webserver.Server
 
 // StudyConfig configures a full measurement run.
@@ -89,7 +90,9 @@ func Generate(p Params) *Ecosystem { return webgen.Generate(p) }
 // DefaultParams returns paper-scale generation parameters.
 func DefaultParams() Params { return webgen.DefaultParams() }
 
-// Serve starts the loopback server for an ecosystem. Callers must Close it.
+// Serve starts the in-memory server for an ecosystem; it binds no socket.
+// Reach it through Server.DialContext, or call Server.ListenTCP for
+// loopback addresses. Callers must Close it.
 func Serve(eco *Ecosystem) (*Server, error) { return webserver.Start(eco) }
 
 // NewStudy generates an ecosystem and starts its server, ready to Run.
