@@ -3,7 +3,7 @@ STATICCHECK_VERSION ?= 2023.1.7
 
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench bench-json lintbudget fuzz lint staticcheck determinism crashsafety shardci profile ci
+.PHONY: all build vet test race bench lintbudget fuzz lint staticcheck determinism crashsafety shardci profile ci
 
 all: vet lint test
 
@@ -22,47 +22,21 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-json times the full pipeline at one stage worker ("Serial") vs
-# NumCPU stage workers ("Scheduled") and writes BENCH_pipeline.json:
-# mean ns/op per schedule plus the speedup ratio (>1 means the parallel
-# schedule is faster; expect ~1.0 on a single core).
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkStudyRun(Serial|Scheduled)$$' -benchtime=1x -count=3 . \
-		| $(GO) run ./cmd/benchjson > BENCH_pipeline.json
-	@cat BENCH_pipeline.json
-	$(GO) test -run '^$$' -bench 'BenchmarkFlightVisit|BenchmarkManifestWrite|BenchmarkMultisetHash|BenchmarkDiff' \
-		-count=3 ./internal/obs/ ./internal/provenance/ \
-		| $(GO) run ./cmd/benchjson > BENCH_obs.json
-	@cat BENCH_obs.json
-	$(MAKE) lintbudget
-	$(GO) test -run '^$$' -bench 'BenchmarkStudyRun(Scheduled|Profiled)$$' -benchtime=1x -count=3 . \
-		| $(GO) run ./cmd/benchjson > BENCH_prof.json
-	@cat BENCH_prof.json
-	( $(GO) test -run '^$$' -bench 'BenchmarkStore(Append|Replay)$$' -count=3 ./internal/store/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkStudyRun(Scheduled|StoreBacked)$$' -benchtime=1x -count=3 . ) \
-		| $(GO) run ./cmd/benchjson > BENCH_store.json
-	@cat BENCH_store.json
-	$(GO) test -run '^$$' -bench 'BenchmarkStudyRun(Serial|Sharded[124])$$' -benchtime=1x -count=3 . \
-		| $(GO) run ./cmd/benchjson > BENCH_shard.json
-	@cat BENCH_shard.json
-# The fleet pair runs interleaved in separate processes: back-to-back
-# -count=3 in one process lets heap state from one variant bleed into
-# the other's timings and bias the on/off ratio.
-	for i in 1 2 3; do \
-		$(GO) test -run '^$$' -bench 'BenchmarkStudyRunFleetTelemetryOn$$' -benchtime=1x -count=1 .; \
-		$(GO) test -run '^$$' -bench 'BenchmarkStudyRunFleetTelemetryOff$$' -benchtime=1x -count=1 .; \
-	done | $(GO) run ./cmd/benchjson > BENCH_fleet.json
-	@cat BENCH_fleet.json
-
-# lintbudget times the studylint suite — one full-module pass plus each
-# analyzer solo over the pre-loaded index — writes BENCH_lint.json, and
-# fails if the full pass exceeds its wall-clock budget (2x the PR 5
-# five-analyzer baseline of ~4.92s), so the always-on lint gate cannot
-# quietly eat the CI budget as analyzers accumulate.
+# lintbudget times one full-module studylint pass (BenchmarkLintModule,
+# three runs) and fails if the mean exceeds its wall-clock budget (2x
+# the five-analyzer baseline of ~4.92s), so the always-on lint gate
+# cannot quietly eat the CI budget as analyzers accumulate. The pipe
+# hides go test's exit status, so awk also fails when a run failed or
+# no result line arrived: a missing measurement must not pass.
 lintbudget:
-	$(GO) test -run '^$$' -bench 'BenchmarkLint' -benchtime=1x -count=3 ./internal/lint/ \
-		| $(GO) run ./cmd/benchjson -assert-max lint_full_module_seconds=9.84 > BENCH_lint.json
-	@cat BENCH_lint.json
+	$(GO) test -run '^$$' -bench 'BenchmarkLintModule$$' -benchtime=1x -count=3 ./internal/lint/ \
+		| awk -v max=9.84 '{ print } \
+			/^(--- )?FAIL/ { failed = 1 } \
+			/^BenchmarkLintModule/ { sum += $$3; n++ } \
+			END { if (failed || n == 0) { print "lintbudget: no BenchmarkLintModule result"; exit 1 } \
+				mean = sum / n / 1e9; \
+				printf "lintbudget: BenchmarkLintModule mean %.3f s over %d runs, budget %.2f s\n", mean, n, max; \
+				if (mean > max) { print "lintbudget: over budget"; exit 1 } }'
 
 # fuzz gives each native fuzz target a short budget; failing inputs land
 # in testdata/fuzz/ and then fail `make test` forever after.

@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -33,16 +34,27 @@ import (
 )
 
 func main() {
-	scale := flag.Float64("scale", 0.02, "corpus scale")
-	seed := flag.Uint64("seed", 2019, "generation seed")
-	country := flag.String("country", "ES", "vantage country (ES US UK RU IN SG)")
-	list := flag.Bool("list", false, "list crawlable porn hosts and exit")
-	logOut := flag.String("log", "", "write the raw request log as JSONL to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address; also prints a metrics summary after the visit")
-	faults := flag.Bool("faults", false, "inject the default chaos profile into the generated ecosystem")
-	retries := flag.Int("retries", 0, "max attempts per request (0 or 1 = single-shot)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures that open a host's circuit breaker (0 = disabled)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit status lifted out, so the
+// command is testable end to end and its deferred closes run on every
+// exit path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("crawlsite", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 0.02, "corpus scale")
+	seed := fs.Uint64("seed", 2019, "generation seed")
+	country := fs.String("country", "ES", "vantage country (ES US UK RU IN SG)")
+	list := fs.Bool("list", false, "list crawlable porn hosts and exit")
+	logOut := fs.String("log", "", "write the raw request log as JSONL to this file")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address; also prints a metrics summary after the visit")
+	faults := fs.Bool("faults", false, "inject the default chaos profile into the generated ecosystem")
+	retries := fs.Int("retries", 0, "max attempts per request (0 or 1 = single-shot)")
+	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open a host's circuit breaker (0 = disabled)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	params := webgen.Params{Seed: *seed, Scale: *scale}
 	if *faults {
@@ -53,15 +65,15 @@ func main() {
 	if *list {
 		for _, s := range eco.PornSites {
 			if !s.Flaky && !s.Unresponsive {
-				fmt.Println(s.Host)
+				fmt.Fprintln(stdout, s.Host)
 			}
 		}
-		return
+		return 0
 	}
-	host := flag.Arg(0)
+	host := fs.Arg(0)
 	if host == "" {
-		fmt.Fprintln(os.Stderr, "usage: crawlsite [flags] <host> (try -list)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: crawlsite [flags] <host> (try -list)")
+		return 2
 	}
 
 	var reg *obs.Registry
@@ -72,18 +84,18 @@ func main() {
 	}
 	srv, err := webserver.Start(eco, opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crawlsite:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "crawlsite:", err)
+		return 1
 	}
 	defer srv.Close()
 	if reg != nil {
 		admin, err := obs.ServeAdmin(*metricsAddr, reg, nil, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "crawlsite:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "crawlsite:", err)
+			return 1
 		}
 		defer admin.Close()
-		fmt.Printf("observability: http://%s/metrics\n", admin.Addr())
+		fmt.Fprintf(stdout, "observability: http://%s/metrics\n", admin.Addr())
 	}
 	sess, err := crawler.NewSession(crawler.Config{
 		DialContext: srv.DialContext,
@@ -98,35 +110,35 @@ func main() {
 		},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crawlsite:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "crawlsite:", err)
+		return 1
 	}
 	defer sess.Close()
 	b := browser.New(sess)
 	pv := b.Visit(context.Background(), host)
 	if !pv.OK {
-		fmt.Printf("visit FAILED: %s\n", pv.Err)
+		fmt.Fprintf(stdout, "visit FAILED: %s\n", pv.Err)
 		if pv.FailClass != "" {
-			fmt.Printf("failure class: %s\n", pv.FailClass)
+			fmt.Fprintf(stdout, "failure class: %s\n", pv.FailClass)
 		}
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("visited %s (https=%v)\n", pv.FinalURL, pv.HTTPS)
+	fmt.Fprintf(stdout, "visited %s (https=%v)\n", pv.FinalURL, pv.HTTPS)
 
-	fmt.Println("\nrequests:")
+	fmt.Fprintln(stdout, "\nrequests:")
 	for _, r := range sess.Log() {
 		status := fmt.Sprint(r.Status)
 		if r.Err != "" {
 			status = "ERR"
 		}
-		fmt.Printf("  [%-8s] %-4s %s", r.Initiator, status, r.URL)
+		fmt.Fprintf(stdout, "  [%-8s] %-4s %s", r.Initiator, status, r.URL)
 		if r.Attempt > 1 {
-			fmt.Printf(" (attempt %d)", r.Attempt)
+			fmt.Fprintf(stdout, " (attempt %d)", r.Attempt)
 		}
 		if r.RedirectTo != "" {
-			fmt.Printf(" -> %s", r.RedirectTo)
+			fmt.Fprintf(stdout, " -> %s", r.RedirectTo)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, c := range r.SetCookies {
 			v := c.Value
 			if len(v) > 48 {
@@ -136,59 +148,63 @@ func main() {
 			if c.Session {
 				kind = "session"
 			}
-			fmt.Printf("      set-cookie %s=%s (%s)\n", c.Name, v, kind)
+			fmt.Fprintf(stdout, "      set-cookie %s=%s (%s)\n", c.Name, v, kind)
 		}
 	}
 
-	fmt.Println("\nscript traces:")
+	fmt.Fprintln(stdout, "\nscript traces:")
 	for _, st := range pv.Traces {
 		name := st.URL
 		if name == "" {
 			name = "(inline)"
 		}
 		v := fingerprint.ClassifyTrace(st.Trace)
-		fmt.Printf("  %s: %s", name, st.Trace.Summary())
+		fmt.Fprintf(stdout, "  %s: %s", name, st.Trace.Summary())
 		if v.Any() {
-			fmt.Printf("  ** fingerprinting: canvas=%v font=%v webrtc=%v", v.CanvasFP, v.FontFP, v.WebRTC)
+			fmt.Fprintf(stdout, "  ** fingerprinting: canvas=%v font=%v webrtc=%v", v.CanvasFP, v.FontFP, v.WebRTC)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, reason := range v.Reasons {
-			fmt.Printf("      %s\n", reason)
+			fmt.Fprintf(stdout, "      %s\n", reason)
 		}
 	}
 
-	fmt.Println("\ncompliance surface:")
+	fmt.Fprintln(stdout, "\ncompliance surface:")
 	if bt, ok := consent.DetectBanner(pv.DOM); ok {
-		fmt.Printf("  cookie banner: %s\n", bt)
+		fmt.Fprintf(stdout, "  cookie banner: %s\n", bt)
 	} else {
-		fmt.Println("  cookie banner: none")
+		fmt.Fprintln(stdout, "  cookie banner: none")
 	}
 	if info, ok := consent.DetectAgeGate(pv.DOM); ok {
-		fmt.Printf("  age gate: detected (bypassable=%v)\n", info.Bypassable)
+		fmt.Fprintf(stdout, "  age gate: detected (bypassable=%v)\n", info.Bypassable)
 	} else {
-		fmt.Println("  age gate: none")
+		fmt.Fprintln(stdout, "  age gate: none")
 	}
 	links := consent.FindPolicyLinks(pv.DOM)
-	fmt.Printf("  privacy policy links: %v\n", links)
+	fmt.Fprintf(stdout, "  privacy policy links: %v\n", links)
 	m := consent.DetectMonetization(pv.DOM)
-	fmt.Printf("  monetization: accounts=%v premium=%v paid=%v\n", m.HasAccounts, m.HasPremium, m.Paid)
+	fmt.Fprintf(stdout, "  monetization: accounts=%v premium=%v paid=%v\n", m.HasAccounts, m.HasPremium, m.Paid)
 
 	if reg != nil {
-		fmt.Println("\nmetrics:")
-		reg.WriteExposition(os.Stdout)
+		fmt.Fprintln(stdout, "\nmetrics:")
+		reg.WriteExposition(stdout)
 	}
 
 	if *logOut != "" {
 		f, err := os.Create(*logOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "crawlsite:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "crawlsite:", err)
+			return 1
 		}
-		if err := crawler.ExportJSONL(f, sess.Log()); err != nil {
-			fmt.Fprintln(os.Stderr, "crawlsite:", err)
-			os.Exit(1)
+		err = crawler.ExportJSONL(f, sess.Log())
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f.Close()
-		fmt.Printf("\nrequest log written to %s\n", *logOut)
+		if err != nil {
+			fmt.Fprintln(stderr, "crawlsite:", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "\nrequest log written to %s\n", *logOut)
 	}
+	return 0
 }

@@ -21,63 +21,78 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+
+	"pornweb/internal/provenance"
 )
 
-import "pornweb/internal/provenance"
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit the diff as JSON instead of the human-readable report")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: studydiff [-json] <manifest-or-dir> <manifest-or-dir>\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit status lifted out, so the
+// command is testable end to end.
+func run(args []string, stdout, stderr io.Writer) int {
+	fset := flag.NewFlagSet("studydiff", flag.ContinueOnError)
+	fset.SetOutput(stderr)
+	jsonOut := fset.Bool("json", false, "emit the diff as JSON instead of the human-readable report")
+	fset.Usage = func() {
+		fmt.Fprintf(stderr, "usage: studydiff [-json] <manifest-or-dir> <manifest-or-dir>\n")
+		fset.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fset.Parse(args); err != nil {
+		return 2
+	}
+	if fset.NArg() != 2 {
+		fset.Usage()
+		return 2
 	}
 
-	a, err := load(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "studydiff:", err)
-		os.Exit(2)
-	}
-	b, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "studydiff:", err)
-		os.Exit(2)
+	var ms [2]*provenance.Manifest
+	var shards [2]*provenance.ShardManifest
+	for i, path := range fset.Args() {
+		var err error
+		if ms[i], err = load(path); err == nil {
+			shards[i], err = loadShards(path)
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, "studydiff:", err)
+			return 2
+		}
 	}
 
 	// When both runs carry a shards.json sidecar, their per-shard digests
 	// are compared too; a serial run has none, and comparing a sharded
 	// run against a serial one rests on the main manifest alone (that is
 	// the equivalence the sidecar exists to keep out of the manifest).
-	sa, sb := loadShards(flag.Arg(0)), loadShards(flag.Arg(1))
-	if sa != nil && sb != nil {
-		if stages := provenance.DiffShardStages(sa, sb); len(stages) > 0 {
-			fmt.Fprintf(os.Stderr, "studydiff: shard digests differ in stages %v\n", stages)
-			os.Exit(1)
+	if shards[0] != nil && shards[1] != nil {
+		if stages := provenance.DiffShardStages(shards[0], shards[1]); len(stages) > 0 {
+			fmt.Fprintf(stderr, "studydiff: shard digests differ in stages %v\n", stages)
+			return 1
 		}
 	}
 
-	d := provenance.Diff(a, b)
+	d := provenance.Diff(ms[0], ms[1])
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(d); err != nil {
-			fmt.Fprintln(os.Stderr, "studydiff:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "studydiff:", err)
+			return 2
 		}
 	} else {
-		d.Format(os.Stdout)
+		d.Format(stdout)
 	}
 	if !d.Identical {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // load resolves a path to a manifest: a directory means the
@@ -89,17 +104,18 @@ func load(path string) (*provenance.Manifest, error) {
 	return provenance.LoadManifest(path)
 }
 
-// loadShards resolves a path's shards.json sidecar, nil if absent (a
-// serial run writes none) or when the argument was a manifest file
-// rather than a run directory.
-func loadShards(path string) *provenance.ShardManifest {
+// loadShards resolves a path's shards.json sidecar: nil without error
+// when the file is absent (a serial run writes none) or when the
+// argument was a manifest file rather than a run directory. A sidecar
+// that exists but cannot be read or parsed is an error, not a skip.
+func loadShards(path string) (*provenance.ShardManifest, error) {
 	fi, err := os.Stat(path)
 	if err != nil || !fi.IsDir() {
-		return nil
+		return nil, nil
 	}
 	sm, err := provenance.LoadShardManifest(filepath.Join(path, "shards.json"))
-	if err != nil {
-		return nil
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
-	return sm
+	return sm, err
 }

@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkLintModule times one full-module studylint pass — load,
 // parse, type-check (stdlib from GOROOT source), and run the whole
 // analyzer suite — so the cost of the always-on `make lint` CI gate
-// stays visible in BENCH_lint.json, where `make lintbudget` asserts it
+// stays visible: `make lintbudget` asserts its mean over three runs
 // against the budget.
 func BenchmarkLintModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -27,8 +27,7 @@ func BenchmarkLintModule(b *testing.B) {
 // module: load, type-check and index once outside every timer, then
 // one sub-benchmark per analyzer. The split shows where the full-pass
 // budget goes — the fixpoint analyzers (detflow, goroleak, locksafe)
-// versus the single-walk lexical ones — and benchjson folds the
-// sub-benchmarks into BENCH_lint.json's lint_analyzer_seconds map.
+// versus the single-walk lexical ones.
 func BenchmarkLintAnalyzer(b *testing.B) {
 	l, err := NewLoader("../..")
 	if err != nil {

@@ -33,6 +33,13 @@
 // 9,688 regular websites); smaller scales shrink the population
 // proportionally while preserving every distribution the analyses measure.
 //
+// The package examples walk through the paper at a tiny scale:
+// Example_quickstart prints the headline findings and three tables,
+// Example_trackingAudit the Section 5 tracker deep-dive,
+// Example_geoStudy the Section 6 six-country comparison and
+// Example_complianceAudit the Section 7 banner, age-gate and policy
+// audit. `go test` runs them and checks their output.
+//
 // Run executes the pipeline as a dependency graph on internal/sched:
 // independent crawls and analyses overlap, bounded by
 // StudyConfig.StageWorkers (default NumCPU; 1 runs one stage at a time).
