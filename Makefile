@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 STATICCHECK_VERSION ?= 2023.1.7
 
 FUZZTIME ?= 10s
@@ -10,8 +11,15 @@ all: vet lint test
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would reformat any tracked Go file outside
+# testdata/ (some lint fixtures are deliberately unformatted).
 vet:
 	$(GO) vet ./...
+	@files=$$(git ls-files '*.go' ':(exclude)**/testdata/**') || exit 1; \
+	unformatted=$$($(GOFMT) -l $$files) || exit 1; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...

@@ -187,9 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FleetTelemetryOff: !*fleetTelemetry,
 	}
 	if *verbose {
-		cfg.Log = func(format string, args ...any) {
-			fmt.Fprintf(stderr, "# "+format+"\n", args...)
-		}
+		cfg.Logger = obs.NewLogger(stderr, obs.LevelInfo)
 	}
 	if *worker {
 		return runWorker(cfg, *coordinator, *workerListen, *shardKillVisits, stderr)

@@ -156,6 +156,13 @@ func storeBacked(t *testing.T, cfg core.Config) *studyRun {
 	return runStudy(t, cfg)
 }
 
+func shardedStoreBacked(n int) func(*testing.T, core.Config) *studyRun {
+	return func(t *testing.T, cfg core.Config) *studyRun {
+		cfg.Shards = n
+		return storeBacked(t, cfg)
+	}
+}
+
 func stageWorkers(n int) func(*testing.T, core.Config) *studyRun {
 	return func(t *testing.T, cfg core.Config) *studyRun {
 		cfg.StageWorkers = n
@@ -207,6 +214,16 @@ type row struct {
 // a row of TestManifestEquivalence and the reference
 // TestWorkerFailureReassignment's killed fleet must converge to.
 var smallShards3 = row{name: "shards=3", base: "small", run: sharded(3, false), check: hasShards(3)}
+
+// smallStoreBacked is the serial store-backed run on the small base: a
+// row of TestManifestEquivalence and the store the sharded store-backed
+// row must persist.
+var smallStoreBacked = row{name: "store-backed", base: "small", run: storeBacked,
+	check: func(t *testing.T, got *studyRun) {
+		if got.store == nil || got.store.Entries == 0 {
+			t.Fatal("store-backed run recorded no store block in its manifest")
+		}
+	}}
 
 // rowRun runs row once per test binary, memoised under base/name, so
 // other tests can reuse it.
@@ -311,10 +328,15 @@ func TestManifestEquivalence(t *testing.T) {
 				}},
 			smallShards3,
 			{name: "shards=3/telemetry-off", base: "small", run: sharded(3, true), check: hasShards(3)},
-			{name: "store-backed", base: "small", run: storeBacked,
+			smallStoreBacked,
+			{name: "shards=3/store-backed", base: "small", run: shardedStoreBacked(3),
 				check: func(t *testing.T, got *studyRun) {
-					if got.store == nil || got.store.Entries == 0 {
-						t.Fatal("store-backed run recorded no store block in its manifest")
+					hasShards(3)(t, got)
+					// The coordinator persists the workers' entries as they
+					// are, so the store is the serial store-backed run's.
+					want := rowRun(t, smallStoreBacked).store
+					if got.store == nil || want == nil || *got.store != *want {
+						t.Errorf("sharded store = %+v, want the serial store-backed run's %+v", got.store, want)
 					}
 				}},
 		})

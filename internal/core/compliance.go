@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"runtime/pprof"
 	"sort"
-	"sync"
 
 	"pornweb/internal/attribution"
 	"pornweb/internal/browser"
@@ -74,62 +72,13 @@ func (st *Study) InteractiveCrawl(ctx context.Context, hosts []string, country s
 // log's record count and content digest under that stage name when the
 // crawl completes.
 func (st *Study) InteractiveCrawlStage(ctx context.Context, hosts []string, country, stageName string) (map[string]*browser.InteractiveVisit, error) {
-	// Refine the ambient stage label with the interactive crawl's vantage;
-	// the forEach workers below inherit the whole label set.
-	prev := ctx
-	ctx = pprof.WithLabels(ctx, pprof.Labels("vantage", country, "corpus", "porn"))
-	pprof.SetGoroutineLabels(ctx)
-	defer pprof.SetGoroutineLabels(prev)
-	sess, err := st.session(country, "policy")
+	sr, err := st.runCrawlStage(ctx, crawlStage{name: stageName, corpus: "porn", vantage: country, interactive: true}, hosts)
 	if err != nil {
 		return nil, err
 	}
-	defer sess.Close()
-	b := browser.New(sess)
-	b.Stage = stageName
-	b.Corpus = "porn"
-	b.Rank = st.Rank.BaseRank
-	out := make(map[string]*browser.InteractiveVisit, len(hosts))
-	// Replay durable interactive visits, crawl the rest, persist each
-	// completed visit — the same resume protocol as CrawlStage.
-	pending, replayed := st.hostsToVisit(stageName, "porn", country, hosts, true)
-	// Sharded dispatch, folded back through the replay path exactly as
-	// in CrawlStage.
-	if st.coord != nil && stageName != "" && len(pending) > 0 {
-		entries, err := st.dispatchShards(ctx, stageName, "porn", country, pending, true)
-		if err != nil {
-			return nil, err
-		}
-		replayed, err = st.foldShardEntries(stageName, "porn", country, pending, entries, replayed, true)
-		if err != nil {
-			return nil, err
-		}
-		pending = nil
-	}
-	var mu sync.Mutex
-	st.forEach(ctx, len(pending), func(i int) {
-		iv := b.VisitInteractive(ctx, pending[i])
-		mu.Lock()
-		out[pending[i]] = iv
-		mu.Unlock()
-		if st.store != nil && stageName != "" {
-			st.persistVisit(storeKey(stageName, "porn", country, pending[i]),
-				interactiveEntry(iv, sess, pending[i]))
-		}
-	})
-	for _, h := range hosts {
-		if e := replayed[h]; e != nil {
-			out[h] = e.Interactive
-		}
-	}
-	if stageName != "" {
-		log := sess.Log()
-		if len(replayed) > 0 {
-			log, _, _ = mergeReplayed(hosts, replayed, log, map[string]string{}, map[string]uint64{})
-		}
-		n, digest := crawlLogDigest(log)
-		st.prov.RecordStage(stageName, n, digest)
-		st.checkpointStore()
+	out := make(map[string]*browser.InteractiveVisit, len(sr.visits))
+	for h, e := range sr.visits {
+		out[h] = e.Interactive
 	}
 	st.Log.Infof("interactive[%s]: %d sites", country, len(hosts))
 	return out, nil

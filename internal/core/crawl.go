@@ -11,6 +11,7 @@ import (
 	"pornweb/internal/crawler"
 	"pornweb/internal/domain"
 	"pornweb/internal/obs"
+	"pornweb/internal/store"
 )
 
 // CrawlResult is one corpus crawled from one vantage point with the
@@ -61,90 +62,153 @@ func (st *Study) Crawl(ctx context.Context, hosts []string, country string) (*Cr
 func (st *Study) CrawlStage(ctx context.Context, hosts []string, country, stageName, corpus string) (*CrawlResult, error) {
 	ctx, span := st.Tracer.Start(ctx, "crawl/"+country)
 	defer span.End()
+	sr, err := st.runCrawlStage(ctx, crawlStage{name: stageName, corpus: corpus, vantage: country}, hosts)
+	if err != nil {
+		return nil, err
+	}
+	cr := &CrawlResult{
+		Country:         country,
+		Attempted:       len(hosts),
+		Visits:          make(map[string]*browser.PageVisit, len(sr.visits)),
+		FailuresByClass: map[string]int{},
+		RequestFailures: sr.failures,
+		Log:             sr.log,
+		CertOrgs:        sr.certOrgs,
+		tpCacheHits:     st.Metrics.Counter("crawl_tp_cache_hits_total", "country", country),
+	}
+	for h, e := range sr.visits {
+		cr.Visits[h] = e.Page
+		if e.Page.OK {
+			cr.Crawled = append(cr.Crawled, h)
+		} else if e.Page.FailClass != "" {
+			cr.FailuresByClass[e.Page.FailClass]++
+		}
+	}
+	sort.Strings(cr.Crawled)
+	span.SetAttr("sites", fmt.Sprint(len(cr.Crawled)))
+	span.SetAttr("requests", fmt.Sprint(len(cr.Log)))
+	st.Log.Infof("crawl[%s]: %d/%d sites, %d requests", country, len(cr.Crawled), len(hosts), len(cr.Log))
+	return cr, nil
+}
+
+// crawlStage names one crawl stage: the pipeline stage (empty for a
+// library call, which neither persists nor records provenance), the
+// corpus and vantage it crawls, and which of the two crawlers visits.
+type crawlStage struct {
+	name, corpus, vantage string
+	interactive           bool
+}
+
+// key is the durable store key of one site's visit in this stage.
+func (s crawlStage) key(site string) store.Key {
+	return store.Key{Stage: s.name, Corpus: s.corpus, Vantage: s.vantage, Site: site}
+}
+
+// stageResult is one crawl stage as an uninterrupted serial run would
+// have measured it, whatever mix of replay, shard dispatch and live
+// visits produced it.
+type stageResult struct {
+	// visits maps each visited host to its outcome. A live visit's
+	// entry carries only Page or Interactive; a replayed one is the
+	// durable entry.
+	visits   map[string]*visitEntry
+	log      []crawler.Record
+	certOrgs map[string]string
+	failures map[string]uint64
+}
+
+// stageBrowser opens the session and browser one crawl stage visits
+// with. The instrumented crawl runs in the "crawl" session phase, the
+// interactive crawl in its own "policy" phase. The caller closes the
+// session.
+func (st *Study) stageBrowser(s crawlStage) (*crawler.Session, *browser.Browser, error) {
+	phase := "crawl"
+	if s.interactive {
+		phase = "policy"
+	}
+	sess, err := st.session(s.vantage, phase)
+	if err != nil {
+		return nil, nil, err
+	}
+	b := browser.New(sess)
+	b.Stage = s.name
+	b.Corpus = s.corpus
+	b.Rank = st.Rank.BaseRank
+	return sess, b, nil
+}
+
+// visit loads one host with the stage's crawler. The entry holds only
+// the outcome; durableEntry completes it for the store or the wire.
+func (s crawlStage) visit(ctx context.Context, b *browser.Browser, host string) *visitEntry {
+	if s.interactive {
+		return &visitEntry{Interactive: b.VisitInteractive(ctx, host)}
+	}
+	return &visitEntry{Page: b.Visit(ctx, host)}
+}
+
+// runCrawlStage is the one crawl-stage protocol both crawls share.
+// With a durable store, visits a previous run already persisted are
+// replayed instead of refetched. A sharded study dispatches the rest
+// across the worker fleet and folds the merged entries back in through
+// that same replay path — machinery the crash-safety gate already
+// holds to byte-identity, which is why sharded == serial. Otherwise the
+// rest are visited in-process, each completed visit streaming into the
+// store as it finishes. A named stage then records its log digest and
+// checkpoints the store.
+func (st *Study) runCrawlStage(ctx context.Context, s crawlStage, hosts []string) (*stageResult, error) {
 	// Refine the ambient stage label with the crawl's vantage and corpus,
 	// so profile samples split by where (and over which site set) the CPU
 	// went; the forEach workers below inherit the whole label set.
 	prev := ctx
-	ctx = pprof.WithLabels(ctx, pprof.Labels("vantage", country, "corpus", corpus))
+	ctx = pprof.WithLabels(ctx, pprof.Labels("vantage", s.vantage, "corpus", s.corpus))
 	pprof.SetGoroutineLabels(ctx)
 	defer pprof.SetGoroutineLabels(prev)
-	sess, err := st.session(country, "crawl")
+	sess, b, err := st.stageBrowser(s)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	b := browser.New(sess)
-	b.Stage = stageName
-	b.Corpus = corpus
-	b.Rank = st.Rank.BaseRank
-	cr := &CrawlResult{
-		Country:         country,
-		Attempted:       len(hosts),
-		Visits:          make(map[string]*browser.PageVisit, len(hosts)),
-		FailuresByClass: map[string]int{},
-		tpCacheHits:     st.Metrics.Counter("crawl_tp_cache_hits_total", "country", country),
-	}
-	// With a durable store, visits a previous run already persisted are
-	// replayed instead of refetched; only the rest are crawled, and each
-	// completed visit streams into the store as it finishes.
-	pending, replayed := st.hostsToVisit(stageName, corpus, country, hosts, false)
-	// A sharded study dispatches the pending visits across the worker
-	// fleet and folds the merged entries back in through the same
-	// replay path a resumed run uses — machinery the crash-safety gate
-	// already holds to byte-identity, which is why sharded == serial.
-	if st.coord != nil && stageName != "" && len(pending) > 0 {
-		entries, err := st.dispatchShards(ctx, stageName, corpus, country, pending, false)
+	pending, replayed := st.hostsToVisit(s, hosts)
+	if st.coord != nil && s.name != "" && len(pending) > 0 {
+		entries, err := st.dispatchShards(ctx, s, pending)
 		if err != nil {
 			return nil, err
 		}
-		replayed, err = st.foldShardEntries(stageName, corpus, country, pending, entries, replayed, false)
+		replayed, err = st.foldShardEntries(s, pending, entries, replayed)
 		if err != nil {
 			return nil, err
 		}
 		pending = nil
 	}
+	sr := &stageResult{visits: make(map[string]*visitEntry, len(hosts))}
 	var mu sync.Mutex
 	st.forEach(ctx, len(pending), func(i int) {
-		pv := b.Visit(ctx, pending[i])
+		h := pending[i]
+		v := s.visit(ctx, b, h)
 		mu.Lock()
-		cr.Visits[pending[i]] = pv
+		sr.visits[h] = v
 		mu.Unlock()
-		if st.store != nil && stageName != "" {
-			st.persistVisit(storeKey(stageName, corpus, country, pending[i]),
-				pageEntry(pv, sess, pending[i]))
+		if st.store != nil && s.name != "" {
+			st.persistVisit(s.key(h), durableEntry(v, sess, h))
 		}
 	})
 	for _, h := range hosts {
 		if e := replayed[h]; e != nil {
-			cr.Visits[h] = e.Page
+			sr.visits[h] = e
 		}
 	}
-	for h, pv := range cr.Visits {
-		if pv.OK {
-			cr.Crawled = append(cr.Crawled, h)
-		} else if pv.FailClass != "" {
-			cr.FailuresByClass[pv.FailClass]++
-		}
-	}
-	sort.Strings(cr.Crawled)
-	cr.Log = sess.Log()
-	cr.CertOrgs = sess.CertOrgs()
-	cr.RequestFailures = sess.FailureCounts()
+	sr.log, sr.certOrgs, sr.failures = sess.Log(), sess.CertOrgs(), sess.FailureCounts()
 	if len(replayed) > 0 {
-		cr.Log, cr.CertOrgs, cr.RequestFailures =
-			mergeReplayed(hosts, replayed, cr.Log, cr.CertOrgs, cr.RequestFailures)
+		sr.log, sr.certOrgs, sr.failures = mergeReplayed(hosts, replayed, sr.log, sr.certOrgs, sr.failures)
 	}
-	span.SetAttr("sites", fmt.Sprint(len(cr.Crawled)))
-	span.SetAttr("requests", fmt.Sprint(len(cr.Log)))
-	if stageName != "" {
-		n, digest := crawlLogDigest(cr.Log)
-		st.prov.RecordStage(stageName, n, digest)
+	if s.name != "" {
+		n, digest := crawlLogDigest(sr.log)
+		st.prov.RecordStage(s.name, n, digest)
 		// A stage boundary is a natural durability point: everything this
 		// stage persisted becomes crash-proof before the next stage starts.
 		st.checkpointStore()
 	}
-	st.Log.Infof("crawl[%s]: %d/%d sites, %d requests", country, len(cr.Crawled), len(hosts), len(cr.Log))
-	return cr, nil
+	return sr, nil
 }
 
 // classifier builds the first/third-party classifier from the crawl's

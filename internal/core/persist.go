@@ -27,11 +27,6 @@ type visitEntry struct {
 	Failures    map[string]uint64         `json:"failures,omitempty"`
 }
 
-// storeKey builds the durable key for one visit of a stage.
-func storeKey(stage, corpus, vantage, site string) store.Key {
-	return store.Key{Stage: stage, Corpus: corpus, Vantage: vantage, Site: site}
-}
-
 // normalizeRecords strips the volatile parts of a visit's request
 // records so the stored bytes are a pure function of (seed, config,
 // site): Seq is global log position — scheduling-dependent — and is
@@ -80,30 +75,28 @@ func (st *Study) persistRaw(k store.Key, raw []byte) {
 	}
 }
 
-// pageEntry assembles the durable entry for one instrumented page
-// visit: the visit outcome (span ID zeroed — tracing is volatile),
-// its per-site request records, stats and failure counts.
-func pageEntry(pv *browser.PageVisit, sess *crawler.Session, site string) *visitEntry {
-	cp := *pv
-	cp.SpanID = 0
-	return &visitEntry{
-		Page:     &cp,
+// durableEntry assembles the durable entry for one live visit: the
+// visit outcome (span ID zeroed — tracing is volatile), its per-site
+// request records, stats and failure counts. The store path and
+// RunShard both build through here, so a shard entry is the store
+// record by construction.
+func durableEntry(v *visitEntry, sess *crawler.Session, site string) *visitEntry {
+	e := &visitEntry{
 		Records:  normalizeRecords(sess.SiteRecords(site)),
 		Stats:    sess.VisitStats(site),
 		Failures: sess.SiteFailureCounts(site),
 	}
-}
-
-// interactiveEntry is pageEntry for the Selenium-analog crawl.
-func interactiveEntry(iv *browser.InteractiveVisit, sess *crawler.Session, site string) *visitEntry {
-	cp := *iv
-	cp.SpanID = 0
-	return &visitEntry{
-		Interactive: &cp,
-		Records:     normalizeRecords(sess.SiteRecords(site)),
-		Stats:       sess.VisitStats(site),
-		Failures:    sess.SiteFailureCounts(site),
+	if v.Page != nil {
+		cp := *v.Page
+		cp.SpanID = 0
+		e.Page = &cp
 	}
+	if v.Interactive != nil {
+		cp := *v.Interactive
+		cp.SpanID = 0
+		e.Interactive = &cp
+	}
+	return e
 }
 
 // errWrongKind marks a durable entry of the other visit kind — a page
@@ -142,18 +135,18 @@ func decodeVisitEntry(raw []byte, interactive bool) (*visitEntry, error) {
 // stage, keyed by site. Only entries of the wanted kind count (a page
 // entry cannot satisfy an interactive stage); anything unreadable is
 // treated as missing so the visit is simply redone.
-func (st *Study) loadDurable(stage, corpus, vantage string, hosts []string, interactive bool) map[string]*visitEntry {
+func (st *Study) loadDurable(s crawlStage, hosts []string) map[string]*visitEntry {
 	out := map[string]*visitEntry{}
 	for _, h := range hosts {
-		raw, ok, err := st.store.Get(storeKey(stage, corpus, vantage, h))
+		raw, ok, err := st.store.Get(s.key(h))
 		if err != nil || !ok {
 			continue
 		}
-		e, err := decodeVisitEntry(raw, interactive)
+		e, err := decodeVisitEntry(raw, s.interactive)
 		if err != nil {
 			if !errors.Is(err, errWrongKind) {
 				st.Log.Event(obs.LevelWarn, "durable visit unreadable; revisiting",
-					"stage", stage, "site", h, "err", err.Error())
+					"stage", s.name, "site", h, "err", err.Error())
 			}
 			continue
 		}
@@ -200,11 +193,11 @@ func mergeReplayed(hosts []string, replayed map[string]*visitEntry,
 // hostsToVisit partitions a stage's hosts into those already durable
 // in the store (returned as replayed entries) and those still to be
 // crawled. With no store (or an unnamed stage) everything is pending.
-func (st *Study) hostsToVisit(stage, corpus, vantage string, hosts []string, interactive bool) ([]string, map[string]*visitEntry) {
-	if st.store == nil || stage == "" {
+func (st *Study) hostsToVisit(s crawlStage, hosts []string) ([]string, map[string]*visitEntry) {
+	if st.store == nil || s.name == "" {
 		return hosts, nil
 	}
-	replayed := st.loadDurable(stage, corpus, vantage, hosts, interactive)
+	replayed := st.loadDurable(s, hosts)
 	if len(replayed) == 0 {
 		return hosts, nil
 	}
@@ -214,7 +207,7 @@ func (st *Study) hostsToVisit(stage, corpus, vantage string, hosts []string, int
 			pending = append(pending, h)
 		}
 	}
-	st.Log.Infof("store: %s resumes %d/%d visits from durable log", stage, len(replayed), len(hosts))
+	st.Log.Infof("store: %s resumes %d/%d visits from durable log", s.name, len(replayed), len(hosts))
 	return pending, replayed
 }
 

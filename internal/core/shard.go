@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"pornweb/internal/browser"
 	"pornweb/internal/provenance"
 	"pornweb/internal/shard"
 )
@@ -37,19 +36,12 @@ func (st *Study) RunShard(ctx context.Context, a shard.Assignment, kill *shard.K
 		return nil, fmt.Errorf("core: assignment fingerprint %s seed %d, study is %s seed %d: %w",
 			a.Fingerprint, a.Seed, st.fingerprint, st.Cfg.Params.Seed, shard.ErrFingerprintMismatch)
 	}
-	phase := "crawl"
-	if a.Interactive {
-		phase = "policy"
-	}
-	sess, err := st.session(a.Vantage, phase)
+	s := crawlStage{name: a.Stage, corpus: a.Corpus, vantage: a.Vantage, interactive: a.Interactive}
+	sess, b, err := st.stageBrowser(s)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	b := browser.New(sess)
-	b.Stage = a.Stage
-	b.Corpus = a.Corpus
-	b.Rank = st.Rank.BaseRank
 	res := &shard.Result{Stage: a.Stage, Shard: a.Shard}
 	for _, h := range a.Hosts {
 		if err := ctx.Err(); err != nil {
@@ -58,13 +50,7 @@ func (st *Study) RunShard(ctx context.Context, a shard.Assignment, kill *shard.K
 		if err := kill.Visit(); err != nil {
 			return nil, err
 		}
-		var e *visitEntry
-		if a.Interactive {
-			e = interactiveEntry(b.VisitInteractive(ctx, h), sess, h)
-		} else {
-			e = pageEntry(b.Visit(ctx, h), sess, h)
-		}
-		raw, err := json.Marshal(e)
+		raw, err := json.Marshal(durableEntry(s.visit(ctx, b, h), sess, h))
 		if err != nil {
 			return nil, fmt.Errorf("core: serialize visit %s: %w", h, err)
 		}
@@ -81,7 +67,7 @@ func (st *Study) RunShard(ctx context.Context, a shard.Assignment, kill *shard.K
 // land in the shards.json sidecar via recordShardStage; the caller
 // folds the entries back into the stage through the same replay path a
 // resumed run uses.
-func (st *Study) dispatchShards(ctx context.Context, stageName, corpus, vantage string, hosts []string, interactive bool) (map[string][]byte, error) {
+func (st *Study) dispatchShards(ctx context.Context, s crawlStage, hosts []string) (map[string][]byte, error) {
 	if st.Cfg.CoordinatorAddr != "" {
 		if err := st.coord.WaitWorkers(ctx, 0); err != nil {
 			return nil, err
@@ -91,10 +77,10 @@ func (st *Study) dispatchShards(ctx context.Context, stageName, corpus, vantage 
 	assignments := make([]shard.Assignment, len(parts))
 	for i, p := range parts {
 		assignments[i] = shard.Assignment{
-			Stage:       stageName,
-			Corpus:      corpus,
-			Vantage:     vantage,
-			Interactive: interactive,
+			Stage:       s.name,
+			Corpus:      s.corpus,
+			Vantage:     s.vantage,
+			Interactive: s.interactive,
 			Shard:       i,
 			Shards:      len(parts),
 			Fingerprint: st.fingerprint,
@@ -104,10 +90,10 @@ func (st *Study) dispatchShards(ctx context.Context, stageName, corpus, vantage 
 	}
 	merged, err := st.coord.Dispatch(ctx, assignments)
 	if err != nil {
-		return nil, fmt.Errorf("core: dispatch %s: %w", stageName, err)
+		return nil, fmt.Errorf("core: dispatch %s: %w", s.name, err)
 	}
-	st.recordShardStage(stageName, merged)
-	st.Log.Infof("shard: %s merged %d entries from %d shards", stageName, merged.Count, len(parts))
+	st.recordShardStage(s.name, merged)
+	st.Log.Infof("shard: %s merged %d entries from %d shards", s.name, merged.Count, len(parts))
 	return merged.Entries, nil
 }
 
@@ -118,8 +104,8 @@ func (st *Study) dispatchShards(ctx context.Context, stageName, corpus, vantage 
 // not parse are a protocol violation (the digest already verified
 // transport), so they fail the stage rather than silently dropping a
 // site. Iteration follows the caller's host order.
-func (st *Study) foldShardEntries(stageName, corpus, vantage string, hosts []string,
-	entries map[string][]byte, replayed map[string]*visitEntry, interactive bool) (map[string]*visitEntry, error) {
+func (st *Study) foldShardEntries(s crawlStage, hosts []string,
+	entries map[string][]byte, replayed map[string]*visitEntry) (map[string]*visitEntry, error) {
 	if replayed == nil {
 		replayed = make(map[string]*visitEntry, len(entries))
 	}
@@ -128,13 +114,13 @@ func (st *Study) foldShardEntries(stageName, corpus, vantage string, hosts []str
 		if !ok {
 			continue
 		}
-		e, err := decodeVisitEntry(raw, interactive)
+		e, err := decodeVisitEntry(raw, s.interactive)
 		if err != nil {
-			return nil, fmt.Errorf("core: shard entry for %s/%s: %w", stageName, h, err)
+			return nil, fmt.Errorf("core: shard entry for %s/%s: %w", s.name, h, err)
 		}
 		replayed[h] = e
 		if st.store != nil {
-			st.persistRaw(storeKey(stageName, corpus, vantage, h), raw)
+			st.persistRaw(s.key(h), raw)
 		}
 	}
 	return replayed, nil

@@ -44,13 +44,8 @@ type Config struct {
 	// Timeout bounds a single page load (the paper used 120 s; the
 	// in-memory substrate needs far less).
 	Timeout time.Duration
-	// Log receives progress lines when non-nil. Deprecated in favour of
-	// Logger; when set it is kept working as a sink behind the structured
-	// logger, so existing callers lose nothing.
-	Log func(format string, args ...any)
 	// Logger is the structured leveled logger for the whole study. When
-	// nil, one is built that discards output (but still feeds the legacy
-	// Log callback when that is set).
+	// nil, one is built that discards output.
 	Logger *obs.Logger
 	// Metrics is the registry every layer (crawler, browser, webserver,
 	// blocklists, pipeline stages) registers into. When nil a fresh
@@ -71,18 +66,12 @@ type Config struct {
 	// PageBudget bounds one full page visit including retries; 0 derives
 	// 4×Timeout when Resilience is active.
 	PageBudget time.Duration
-	// FlightBuffer is the per-visit flight-recorder ring capacity
-	// (default 4096).
-	FlightBuffer int
 	// FlightSample keeps 1 in N successful visit events; failed visits
 	// are always kept. <= 1 keeps every event.
 	FlightSample int
 	// FlightSink, when non-nil, receives every kept visit event as one
 	// NDJSON line (in addition to the bounded ring served at /flight).
 	FlightSink io.Writer
-	// FlightOff disables the flight recorder entirely; page visits then
-	// skip event assembly (the disabled path is allocation-free).
-	FlightOff bool
 
 	// StoreDir, when non-empty, opens the durable visit store in that
 	// directory: every completed visit is appended as it finishes, so a
@@ -146,20 +135,17 @@ func (c Config) withDefaults() Config {
 	if c.Timeout == 0 {
 		c.Timeout = 15 * time.Second
 	}
-	if c.Log == nil {
-		c.Log = func(string, ...any) {}
-	}
 	if c.SpanBuffer == 0 {
 		c.SpanBuffer = 4096
-	}
-	if c.FlightBuffer == 0 {
-		c.FlightBuffer = 4096
 	}
 	if c.Params.Scale == 0 {
 		c.Params = webgen.DefaultParams()
 	}
 	return c
 }
+
+// flightCapacity is the per-visit flight-recorder ring capacity.
+const flightCapacity = 4096
 
 // Study is a fully wired measurement environment: the generated ecosystem,
 // its in-memory server, the longitudinal rank dataset and the blocklists.
@@ -178,7 +164,8 @@ type Study struct {
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
 	Log     *obs.Logger
-	// Flight is the per-visit flight recorder (nil when Cfg.FlightOff).
+	// Flight is the per-visit flight recorder, a ring of flightCapacity
+	// events; always non-nil after NewStudy.
 	Flight *obs.FlightRecorder
 
 	// Provenance and RunInfo are filled by Run: the deterministic run
@@ -219,7 +206,6 @@ type Study struct {
 
 // NewStudy generates the ecosystem and starts its server.
 func NewStudy(cfg Config) (*Study, error) {
-	userLog := cfg.Log // capture before withDefaults installs the no-op
 	cfg = cfg.withDefaults()
 
 	reg := cfg.Metrics
@@ -229,9 +215,6 @@ func NewStudy(cfg Config) (*Study, error) {
 	logger := cfg.Logger
 	if logger == nil {
 		logger = obs.NewLogger(nil, obs.LevelInfo)
-	}
-	if userLog != nil {
-		logger = logger.WithSink(userLog)
 	}
 	logger = logger.CountIn(reg)
 	tracer := obs.NewTracer(cfg.SpanBuffer).CountIn(reg)
@@ -256,12 +239,10 @@ func NewStudy(cfg Config) (*Study, error) {
 		Metrics:  reg,
 		Tracer:   tracer,
 		Log:      logger,
+		Flight:   obs.NewFlightRecorder(flightCapacity, cfg.FlightSample, cfg.FlightSink).CountIn(reg),
 		prov:     provenance.NewRecorder(),
 		clock:    time.Now,
 		probes:   map[string]*hostProbe{},
-	}
-	if !cfg.FlightOff {
-		st.Flight = obs.NewFlightRecorder(cfg.FlightBuffer, cfg.FlightSample, cfg.FlightSink).CountIn(reg)
 	}
 	fp, err := st.configFingerprint()
 	if err != nil {

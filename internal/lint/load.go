@@ -49,10 +49,10 @@ type Loader struct {
 
 	fset    *token.FileSet
 	std     types.Importer
-	pkgs    map[string]*Package        // loaded module packages by import path
-	typed   map[string]*types.Package  // memoized type info (module + fixture)
-	loading map[string]bool            // cycle guard
-	extra   map[string]string          // fixture import path -> dir overrides
+	pkgs    map[string]*Package       // loaded module packages by import path
+	typed   map[string]*types.Package // memoized type info (module + fixture)
+	loading map[string]bool           // cycle guard
+	extra   map[string]string         // fixture import path -> dir overrides
 }
 
 // NewLoader builds a loader for the module rooted at root. It reads

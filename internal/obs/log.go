@@ -48,11 +48,8 @@ func ParseLevel(s string) Level {
 	}
 }
 
-// Logger is a leveled, structured logger. It supersedes the ad-hoc
-// `func(format string, args ...any)` progress callback the study config
-// used to carry: a legacy callback can be attached as a sink so existing
-// consumers keep receiving lines, while the logger adds levels, component
-// tags, per-level counters in a Registry, and an io.Writer adapter for
+// Logger is a leveled, structured logger: levels, component tags,
+// per-level counters in a Registry, and an io.Writer adapter for
 // libraries (net/http) that want a *log.Logger. A nil *Logger discards
 // everything.
 type Logger struct {
@@ -60,7 +57,6 @@ type Logger struct {
 	out       io.Writer
 	min       Level
 	component string
-	sink      func(format string, args ...any)
 	lines     [4]*Counter // per-level emitted-line counters
 }
 
@@ -74,7 +70,7 @@ func NewLogger(out io.Writer, min Level) *Logger {
 
 // clone copies the logger's configuration (not its mutex).
 func (l *Logger) clone() *Logger {
-	return &Logger{out: l.out, min: l.min, component: l.component, sink: l.sink, lines: l.lines}
+	return &Logger{out: l.out, min: l.min, component: l.component, lines: l.lines}
 }
 
 // WithComponent returns a logger tagging every line with a [component].
@@ -84,18 +80,6 @@ func (l *Logger) WithComponent(name string) *Logger {
 	}
 	c := l.clone()
 	c.component = name
-	return c
-}
-
-// WithSink returns a logger that additionally forwards every emitted line
-// to fn — the backward-compatibility bridge to the old Config.Log
-// callback.
-func (l *Logger) WithSink(fn func(format string, args ...any)) *Logger {
-	if l == nil || fn == nil {
-		return l
-	}
-	c := l.clone()
-	c.sink = fn
 	return c
 }
 
@@ -132,9 +116,6 @@ func (l *Logger) emit(level Level, msg string) {
 	l.mu.Lock()
 	io.WriteString(l.out, line)
 	l.mu.Unlock()
-	if l.sink != nil {
-		l.sink("%s", msg)
-	}
 }
 
 // Event logs a structured message: a static msg followed by alternating

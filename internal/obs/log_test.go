@@ -52,18 +52,6 @@ func TestLoggerEvent(t *testing.T) {
 	}
 }
 
-func TestLoggerSinkBridge(t *testing.T) {
-	var got []string
-	legacy := func(format string, args ...any) {
-		got = append(got, strings.TrimSpace(strings.ReplaceAll(format, "%s", args[0].(string))))
-	}
-	l := NewLogger(nil, LevelInfo).WithSink(legacy)
-	l.Infof("crawl done: %d sites", 42)
-	if len(got) != 1 || !strings.Contains(got[0], "crawl done: 42 sites") {
-		t.Fatalf("sink got %v", got)
-	}
-}
-
 func TestLoggerCounters(t *testing.T) {
 	reg := NewRegistry()
 	l := NewLogger(nil, LevelInfo).CountIn(reg)
@@ -102,7 +90,7 @@ func TestNilLoggerSafe(t *testing.T) {
 	var l *Logger
 	l.Infof("x")
 	l.Event(LevelError, "y", "k", "v")
-	l = l.WithComponent("c").WithSink(func(string, ...any) {}).CountIn(NewRegistry())
+	l = l.WithComponent("c").CountIn(NewRegistry())
 	if l != nil {
 		t.Fatal("nil logger must stay nil through With*")
 	}
