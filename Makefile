@@ -4,7 +4,7 @@ STATICCHECK_VERSION ?= 2023.1.7
 
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench lintbudget fuzz lint staticcheck determinism crashsafety shardci profile ci
+.PHONY: all build vet test race bench lintbudget fuzz lint staticcheck determinism crashsafety shardci profile perfbench ci
 
 all: vet lint test
 
@@ -168,10 +168,19 @@ shardci:
 profile:
 	$(GO) run ./cmd/studyprof -scale 0.004 -seed 2019 -top 3 -min-attrib 0.9
 
+# perfbench vets and tests the benchmark module in _perfbench/. It has
+# its own go.mod (replace pornweb => ../), so ./... at the root skips
+# it, and a break in an API it uses would otherwise surface only when
+# the benchmark next runs. Offline and read-only: nothing is fetched.
+perfbench:
+	cd _perfbench && GOFLAGS=-mod=readonly GOPROXY=off $(GO) vet . && \
+		GOFLAGS=-mod=readonly GOPROXY=off $(GO) test .
+
 # ci is the full gate: vet, studylint with the suppression audit
 # (always-on, offline-safe), the test suite, the race detector, a short
 # fuzz pass, the run-manifest determinism gate, the kill/resume
 # crash-safety gate, the coordinator/worker shard-equivalence gate, the
-# profile-attribution gate, the lint wall-clock budget, and staticcheck
-# when the environment can reach it.
-ci: vet lint test race fuzz determinism crashsafety shardci profile lintbudget staticcheck
+# profile-attribution gate, the lint wall-clock budget, the benchmark
+# module's vet and tests, and staticcheck when the environment can
+# reach it.
+ci: vet lint test race fuzz determinism crashsafety shardci profile lintbudget perfbench staticcheck

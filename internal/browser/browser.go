@@ -141,9 +141,6 @@ type PageVisit struct {
 	Traces []ScriptTrace
 	// Subresources counts fetched embeds by initiator kind.
 	Subresources map[crawler.Initiator]int
-	// SpanID links the visit to its span in the tracer ring (0 when
-	// tracing is off).
-	SpanID uint64
 }
 
 // Visit loads a site's landing page with full instrumentation. When the
@@ -162,7 +159,6 @@ func (b *Browser) Visit(ctx context.Context, host string) *PageVisit {
 	if b.Stage != "" {
 		span.SetAttr("stage", b.Stage)
 	}
-	pv.SpanID = span.ID()
 	defer func() {
 		b.met.pageLoad.Observe(time.Since(start).Seconds())
 		for kind, n := range pv.Subresources {
@@ -180,7 +176,7 @@ func (b *Browser) Visit(ctx context.Context, host string) *PageVisit {
 		// Gate all event-field gathering on an enabled recorder so the
 		// disabled path stays allocation-free per visit.
 		if b.Session.Flight().Enabled() {
-			b.emitFlight(pv.SiteHost, pv.OK, pv.FailClass, false, time.Since(start), pv.SpanID)
+			b.emitFlight(pv.SiteHost, pv.OK, pv.FailClass, false, time.Since(start), span.ID())
 		}
 	}()
 	res, https, err := b.Session.FetchPage(ctx, host, "/")
@@ -340,10 +336,6 @@ type InteractiveVisit struct {
 	PolicyFound bool
 	PolicyURL   string
 	PolicyText  string
-
-	// SpanID links the visit to its span in the tracer ring (0 when
-	// tracing is off).
-	SpanID uint64
 }
 
 // VisitInteractive performs the interactive crawl for one site.
@@ -361,11 +353,10 @@ func (b *Browser) VisitInteractive(ctx context.Context, host string) *Interactiv
 	if b.Stage != "" {
 		span.SetAttr("stage", b.Stage)
 	}
-	iv.SpanID = span.ID()
 	defer func() {
 		span.End()
 		if b.Session.Flight().Enabled() {
-			b.emitFlight(iv.SiteHost, iv.OK, iv.FailClass, true, time.Since(start), iv.SpanID)
+			b.emitFlight(iv.SiteHost, iv.OK, iv.FailClass, true, time.Since(start), span.ID())
 		}
 	}()
 	res, _, err := b.Session.FetchPage(ctx, host, "/")

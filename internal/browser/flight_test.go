@@ -101,8 +101,8 @@ func TestVisitFlightFailureKept(t *testing.T) {
 }
 
 // TestVisitSpanLinksFlightEvent pins the span linkage: with a tracer in
-// the context, the visit's SpanID lands both on the PageVisit and in the
-// flight event, joining the two observability streams.
+// the context, the flight event carries the ID of the visit's span in
+// the tracer ring, joining the two observability streams.
 func TestVisitSpanLinksFlightEvent(t *testing.T) {
 	f := setup(t)
 	fr := obs.NewFlightRecorder(64, 1, nil)
@@ -111,20 +111,26 @@ func TestVisitSpanLinksFlightEvent(t *testing.T) {
 	tr := obs.NewTracer(16)
 	ctx := obs.WithTracer(context.Background(), tr)
 	site := pick(t, f.eco, func(s *webgen.Site) bool { return !s.Flaky && !s.Unresponsive })
-	pv := b.Visit(ctx, site.Host)
-	if pv.SpanID == 0 {
-		t.Fatal("visit under a tracer has SpanID 0")
+	b.Visit(ctx, site.Host)
+	var visitSpan uint64
+	for _, sp := range tr.Recent() {
+		if sp.Name == "visit" {
+			visitSpan = sp.ID
+		}
+	}
+	if visitSpan == 0 {
+		t.Fatal("visit under a tracer recorded no visit span")
 	}
 	evs := fr.Events()
-	if len(evs) != 1 || evs[0].SpanID != pv.SpanID {
-		t.Fatalf("flight event span = %d, want %d", evs[0].SpanID, pv.SpanID)
+	if len(evs) != 1 || evs[0].SpanID != visitSpan {
+		t.Fatalf("flight events = %+v, want one with span %d", evs, visitSpan)
 	}
 
 	// Without a tracer the visit still works; the linkage is just absent.
-	b2 := f.flightBrowser(t, nil)
-	pv2 := b2.Visit(context.Background(), site.Host)
-	if pv2.SpanID != 0 {
-		t.Errorf("visit without a tracer has SpanID %d, want 0", pv2.SpanID)
+	fr2 := obs.NewFlightRecorder(64, 1, nil)
+	f.flightBrowser(t, fr2).Visit(context.Background(), site.Host)
+	if evs := fr2.Events(); len(evs) != 1 || evs[0].SpanID != 0 {
+		t.Errorf("flight events without a tracer = %+v, want one with span 0", evs)
 	}
 }
 

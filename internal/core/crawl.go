@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime/pprof"
 	"sort"
@@ -29,9 +30,11 @@ type CrawlResult struct {
 	// class (resilience.Class strings).
 	FailuresByClass map[string]int
 	// RequestFailures counts terminal request failures (every attempt
-	// exhausted) by taxonomy class, from the session's counters.
+	// exhausted) by taxonomy class, summed over the visits.
 	RequestFailures map[string]uint64
-	// Log is the session's full request log.
+	// Log is the crawl's request log: visits in host order, each
+	// visit's records in request order, Seq numbered across the crawl.
+	// It does not depend on how concurrent visits interleaved.
 	Log []crawler.Record
 	// CertOrgs maps observed hosts to TLS certificate organizations.
 	CertOrgs map[string]string
@@ -105,12 +108,11 @@ func (s crawlStage) key(site string) store.Key {
 }
 
 // stageResult is one crawl stage as an uninterrupted serial run would
-// have measured it, whatever mix of replay, shard dispatch and live
-// visits produced it.
+// have measured it, folded by foldStage from the stage's per-site
+// durable entries whatever mix of replay, shard dispatch and live
+// visits produced them.
 type stageResult struct {
-	// visits maps each visited host to its outcome. A live visit's
-	// entry carries only Page or Interactive; a replayed one is the
-	// durable entry.
+	// visits maps each visited host to its durable entry.
 	visits   map[string]*visitEntry
 	log      []crawler.Record
 	certOrgs map[string]string
@@ -137,24 +139,17 @@ func (st *Study) stageBrowser(s crawlStage) (*crawler.Session, *browser.Browser,
 	return sess, b, nil
 }
 
-// visit loads one host with the stage's crawler. The entry holds only
-// the outcome; durableEntry completes it for the store or the wire.
-func (s crawlStage) visit(ctx context.Context, b *browser.Browser, host string) *visitEntry {
-	if s.interactive {
-		return &visitEntry{Interactive: b.VisitInteractive(ctx, host)}
-	}
-	return &visitEntry{Page: b.Visit(ctx, host)}
-}
-
 // runCrawlStage is the one crawl-stage protocol both crawls share.
-// With a durable store, visits a previous run already persisted are
-// replayed instead of refetched. A sharded study dispatches the rest
-// across the worker fleet and folds the merged entries back in through
-// that same replay path — machinery the crash-safety gate already
-// holds to byte-identity, which is why sharded == serial. Otherwise the
-// rest are visited in-process, each completed visit streaming into the
-// store as it finishes. A named stage then records its log digest and
-// checkpoints the store.
+// Every visit becomes a durable entry, and one fold (foldStage) builds
+// the stage from them. With a durable store, entries a previous run
+// already persisted are replayed instead of refetched. A sharded study
+// dispatches the rest across the worker fleet, whose workers return
+// each visit as the same entry, persisted here as the bytes they sent.
+// Otherwise the rest are visited in-process, each completed visit
+// streaming into the store as it finishes. Because replayed, sharded
+// and live entries are folded alike, in host order, resumed == sharded
+// == serial by construction. A named stage then records its log digest
+// and checkpoints the store.
 func (st *Study) runCrawlStage(ctx context.Context, s crawlStage, hosts []string) (*stageResult, error) {
 	// Refine the ambient stage label with the crawl's vantage and corpus,
 	// so profile samples split by where (and over which site set) the CPU
@@ -168,39 +163,30 @@ func (st *Study) runCrawlStage(ctx context.Context, s crawlStage, hosts []string
 		return nil, err
 	}
 	defer sess.Close()
-	pending, replayed := st.hostsToVisit(s, hosts)
+	pending, entries := st.hostsToVisit(s, hosts)
 	if st.coord != nil && s.name != "" && len(pending) > 0 {
-		entries, err := st.dispatchShards(ctx, s, pending)
+		raw, err := st.dispatchShards(ctx, s, pending)
 		if err != nil {
 			return nil, err
 		}
-		replayed, err = st.foldShardEntries(s, pending, entries, replayed)
-		if err != nil {
+		if err := st.foldShardEntries(s, pending, raw, entries); err != nil {
 			return nil, err
 		}
 		pending = nil
 	}
-	sr := &stageResult{visits: make(map[string]*visitEntry, len(hosts))}
 	var mu sync.Mutex
 	st.forEach(ctx, len(pending), func(i int) {
 		h := pending[i]
-		v := s.visit(ctx, b, h)
-		mu.Lock()
-		sr.visits[h] = v
-		mu.Unlock()
+		e := s.durableEntry(ctx, b, h)
 		if st.store != nil && s.name != "" {
-			st.persistVisit(s.key(h), durableEntry(v, sess, h))
+			raw, err := json.Marshal(e)
+			st.persistVisit(s.key(h), raw, err)
 		}
+		mu.Lock()
+		entries[h] = e
+		mu.Unlock()
 	})
-	for _, h := range hosts {
-		if e := replayed[h]; e != nil {
-			sr.visits[h] = e
-		}
-	}
-	sr.log, sr.certOrgs, sr.failures = sess.Log(), sess.CertOrgs(), sess.FailureCounts()
-	if len(replayed) > 0 {
-		sr.log, sr.certOrgs, sr.failures = mergeReplayed(hosts, replayed, sr.log, sr.certOrgs, sr.failures)
-	}
+	sr := foldStage(hosts, entries)
 	if s.name != "" {
 		n, digest := crawlLogDigest(sr.log)
 		st.prov.RecordStage(s.name, n, digest)

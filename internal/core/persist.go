@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,42 +15,27 @@ import (
 )
 
 // visitEntry is the durable form of one completed visit: the page (or
-// interactive) outcome, the request records the visit generated, its
-// aggregated stats and its terminal request failures by class. One
-// entry is one store record under (stage, corpus, vantage, site); a
-// resumed run rebuilds a crawl stage's full result by replaying these
-// entries for the sites already durable and crawling only the rest.
+// interactive) outcome, the request records the visit generated and
+// its terminal request failures by class. One entry is one store
+// record under (stage, corpus, vantage, site) and one shard wire entry;
+// every crawl stage, whether visited live, replayed from the store or
+// merged from shards, is folded from these entries (foldStage).
 type visitEntry struct {
 	Page        *browser.PageVisit        `json:"page,omitempty"`
 	Interactive *browser.InteractiveVisit `json:"interactive,omitempty"`
 	Records     []crawler.Record          `json:"records,omitempty"`
-	Stats       crawler.VisitStats        `json:"stats"`
 	Failures    map[string]uint64         `json:"failures,omitempty"`
 }
 
-// normalizeRecords strips the volatile parts of a visit's request
-// records so the stored bytes are a pure function of (seed, config,
-// site): Seq is global log position — scheduling-dependent — and is
-// renumbered to the record's position *within the visit* (1-based),
-// which preserves the intra-visit ordering the cookie-sync analysis
-// relies on while forgetting where concurrent visits interleaved.
-func normalizeRecords(recs []crawler.Record) []crawler.Record {
-	out := make([]crawler.Record, len(recs))
-	for i, r := range recs {
-		r.Seq = i + 1
-		out[i] = r
-	}
-	return out
-}
-
-// persistVisit streams one completed visit into the durable store. A
-// write failure is an availability problem, not a measurement: it is
-// logged, counted (store_write_errors_total plus the crawl failure
-// taxonomy's store-write class) and the crawl continues — the entry is
-// simply not resumable. It must never leak into manifest-digested
-// counters, or a disk hiccup would change the study's results.
-func (st *Study) persistVisit(k store.Key, e *visitEntry) {
-	raw, err := json.Marshal(e)
+// persistVisit streams one visit's serialized entry into the durable
+// store; err is the serialization error, if any. A failure to
+// serialize or write is an availability problem, not a measurement:
+// it is logged, counted (store_write_errors_total plus the crawl
+// failure taxonomy's store-write class) and the crawl continues — the
+// entry is simply not resumable. It must never leak into
+// manifest-digested counters, or a disk hiccup would change the
+// study's results.
+func (st *Study) persistVisit(k store.Key, raw []byte, err error) {
 	if err == nil {
 		err = st.store.Append(k, raw)
 	}
@@ -61,41 +47,27 @@ func (st *Study) persistVisit(k store.Key, e *visitEntry) {
 	}
 }
 
-// persistRaw streams already-serialized visit bytes into the durable
-// store — the sharded path, where the worker marshaled the entry and
-// the coordinator persists its exact bytes so the store comes out
-// byte-identical to a serial run's. Failure handling matches
-// persistVisit: logged, counted, never fatal.
-func (st *Study) persistRaw(k store.Key, raw []byte) {
-	if err := st.store.Append(k, raw); err != nil {
-		st.storeErrs.Inc()
-		st.Log.Event(obs.LevelWarn, "store append failed; visit not resumable",
-			"class", string(resilience.ClassStoreWrite),
-			"stage", k.Stage, "site", k.Site, "err", err.Error())
+// durableEntry visits one host with the stage's crawler and returns
+// the visit in its durable form: the outcome, the request records the
+// session attributed to the site and its terminal failures by class.
+// Seq, the session-wide log position, depends on how concurrent visits
+// interleaved, so it is renumbered to the record's position within the
+// visit (1-based): the stored bytes are a pure function of (seed,
+// config, site), and the intra-visit order the cookie-sync analysis
+// relies on is kept. Live visits, the store and RunShard all build
+// through here, so a shard entry is the store record by construction.
+func (s crawlStage) durableEntry(ctx context.Context, b *browser.Browser, host string) *visitEntry {
+	e := &visitEntry{}
+	if s.interactive {
+		e.Interactive = b.VisitInteractive(ctx, host)
+	} else {
+		e.Page = b.Visit(ctx, host)
 	}
-}
-
-// durableEntry assembles the durable entry for one live visit: the
-// visit outcome (span ID zeroed — tracing is volatile), its per-site
-// request records, stats and failure counts. The store path and
-// RunShard both build through here, so a shard entry is the store
-// record by construction.
-func durableEntry(v *visitEntry, sess *crawler.Session, site string) *visitEntry {
-	e := &visitEntry{
-		Records:  normalizeRecords(sess.SiteRecords(site)),
-		Stats:    sess.VisitStats(site),
-		Failures: sess.SiteFailureCounts(site),
+	e.Records = b.Session.SiteRecords(host)
+	for i := range e.Records {
+		e.Records[i].Seq = i + 1
 	}
-	if v.Page != nil {
-		cp := *v.Page
-		cp.SpanID = 0
-		e.Page = &cp
-	}
-	if v.Interactive != nil {
-		cp := *v.Interactive
-		cp.SpanID = 0
-		e.Interactive = &cp
-	}
+	e.Failures = b.Session.SiteFailureCounts(host)
 	return e
 }
 
@@ -155,51 +127,56 @@ func (st *Study) loadDurable(s crawlStage, hosts []string) map[string]*visitEntr
 	return out
 }
 
-// mergeReplayed folds the replayed entries of one crawl stage into the
-// live session's view, producing exactly what an uninterrupted run
-// would have measured: records are appended with fresh Seq numbers
-// continuing past the live log (intra-visit order preserved), cert
-// organizations are rebuilt from the records that carried them, and
-// per-class request failures are added to the session's counters.
-// Iteration follows the caller's host order, never map order.
-func mergeReplayed(hosts []string, replayed map[string]*visitEntry,
-	log []crawler.Record, certOrgs map[string]string, failures map[string]uint64) ([]crawler.Record, map[string]string, map[string]uint64) {
-	next := 0
-	for _, r := range log {
-		if r.Seq > next {
-			next = r.Seq
-		}
+// foldStage builds one crawl stage's result from its per-site durable
+// entries, exactly as an uninterrupted serial run measures it, whether
+// each visit ran live, was replayed from the store or came back from a
+// shard. It walks the caller's host order, never map order: the log
+// holds each visit's records in request order with Seq numbered across
+// the stage, certificate organizations are read off the records that
+// carried one, and per-class request failures are summed over the
+// visits. The log is therefore independent of how concurrent visits
+// interleaved.
+func foldStage(hosts []string, entries map[string]*visitEntry) *stageResult {
+	records := 0
+	for _, e := range entries {
+		records += len(e.Records)
+	}
+	sr := &stageResult{
+		visits:   entries,
+		log:      make([]crawler.Record, 0, records),
+		certOrgs: map[string]string{},
+		failures: map[string]uint64{},
 	}
 	for _, h := range hosts {
-		e := replayed[h]
+		e := entries[h]
 		if e == nil {
 			continue
 		}
 		for _, r := range e.Records {
-			next++
-			r.Seq = next
-			log = append(log, r)
+			r.Seq = len(sr.log) + 1
+			sr.log = append(sr.log, r)
 			if r.CertOrg != "" {
-				certOrgs[r.Host] = r.CertOrg
+				sr.certOrgs[r.Host] = r.CertOrg
 			}
 		}
 		for class, n := range e.Failures {
-			failures[class] += n
+			sr.failures[class] += n
 		}
 	}
-	return log, certOrgs, failures
+	return sr
 }
 
 // hostsToVisit partitions a stage's hosts into those already durable
-// in the store (returned as replayed entries) and those still to be
-// crawled. With no store (or an unnamed stage) everything is pending.
+// in the store (returned as replayed entries, in a map the rest of the
+// stage's entries join) and those still to be crawled. With no store
+// (or an unnamed stage) everything is pending.
 func (st *Study) hostsToVisit(s crawlStage, hosts []string) ([]string, map[string]*visitEntry) {
 	if st.store == nil || s.name == "" {
-		return hosts, nil
+		return hosts, make(map[string]*visitEntry, len(hosts))
 	}
 	replayed := st.loadDurable(s, hosts)
 	if len(replayed) == 0 {
-		return hosts, nil
+		return hosts, replayed
 	}
 	pending := make([]string, 0, len(hosts)-len(replayed))
 	for _, h := range hosts {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"pornweb/internal/blocklist"
+	"pornweb/internal/crawler"
 	"pornweb/internal/webgen"
 )
 
@@ -105,6 +107,43 @@ func TestGeoLess(t *testing.T) {
 	for _, c := range cases {
 		if got := geoLess(c.a, c.b); got != c.want {
 			t.Errorf("geoLess(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestCrawlLogDeterministic pins that a crawl's request log does not
+// depend on how concurrent visits interleave: the stage is folded from
+// per-site entries in host order, so one visit at a time and eight at
+// once yield the same records in the same order with the same Seq.
+func TestCrawlLogDeterministic(t *testing.T) {
+	crawlLog := func(workers int) []crawler.Record {
+		cfg := provCfg(11)
+		cfg.Workers = workers
+		st, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		corpus, err := st.CompileCorpus(t.Context())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := st.Crawl(t.Context(), corpus.Porn, "ES")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cr.Crawled) < 2 {
+			t.Fatalf("crawl loaded %d sites; need several to interleave", len(cr.Crawled))
+		}
+		return cr.Log
+	}
+	serial, parallel := crawlLog(1), crawlLog(8)
+	if len(serial) != len(parallel) {
+		t.Fatalf("Workers 1 logged %d records, Workers 8 %d", len(serial), len(parallel))
+	}
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i], parallel[i]) {
+			t.Fatalf("log record %d differs:\n  Workers 1: %+v\n  Workers 8: %+v", i, serial[i], parallel[i])
 		}
 	}
 }

@@ -50,7 +50,7 @@ func (st *Study) RunShard(ctx context.Context, a shard.Assignment, kill *shard.K
 		if err := kill.Visit(); err != nil {
 			return nil, err
 		}
-		raw, err := json.Marshal(durableEntry(s.visit(ctx, b, h), sess, h))
+		raw, err := json.Marshal(s.durableEntry(ctx, b, h))
 		if err != nil {
 			return nil, fmt.Errorf("core: serialize visit %s: %w", h, err)
 		}
@@ -65,8 +65,8 @@ func (st *Study) RunShard(ctx context.Context, a shard.Assignment, kill *shard.K
 // coordinator: partition by registrable domain, dispatch across the
 // fleet, and return the merged site→entry map. The per-shard digests
 // land in the shards.json sidecar via recordShardStage; the caller
-// folds the entries back into the stage through the same replay path a
-// resumed run uses.
+// decodes the entries with foldShardEntries, and foldStage folds them
+// like every other visit of the stage.
 func (st *Study) dispatchShards(ctx context.Context, s crawlStage, hosts []string) (map[string][]byte, error) {
 	if st.Cfg.CoordinatorAddr != "" {
 		if err := st.coord.WaitWorkers(ctx, 0); err != nil {
@@ -97,33 +97,31 @@ func (st *Study) dispatchShards(ctx context.Context, s crawlStage, hosts []strin
 	return merged.Entries, nil
 }
 
-// foldShardEntries converts merged worker entries into replayed visit
-// entries — the resume path's input — and, when a store is open,
-// persists each site's raw bytes so the durable log comes out
-// byte-identical to a serial store-backed run's. Worker bytes that do
-// not parse are a protocol violation (the digest already verified
-// transport), so they fail the stage rather than silently dropping a
-// site. Iteration follows the caller's host order.
-func (st *Study) foldShardEntries(s crawlStage, hosts []string,
-	entries map[string][]byte, replayed map[string]*visitEntry) (map[string]*visitEntry, error) {
-	if replayed == nil {
-		replayed = make(map[string]*visitEntry, len(entries))
-	}
+// foldShardEntries decodes the merged worker entries into the stage's
+// entry map, through the same decoder the resume path uses, and, when
+// a store is open, persists each site's bytes as the worker sent them,
+// so the durable log comes out byte-identical to a serial store-backed
+// run's. The coordinator has already checked that every pending host
+// came back exactly once and that the bytes digest as the worker
+// claimed; bytes that still do not parse, or a host with no entry,
+// fail the stage rather than silently dropping a site. Iteration
+// follows the caller's host order.
+func (st *Study) foldShardEntries(s crawlStage, hosts []string, raw map[string][]byte, entries map[string]*visitEntry) error {
 	for _, h := range hosts {
-		raw, ok := entries[h]
+		b, ok := raw[h]
 		if !ok {
-			continue
+			return fmt.Errorf("core: shard merge for %s has no entry for %s", s.name, h)
 		}
-		e, err := decodeVisitEntry(raw, s.interactive)
+		e, err := decodeVisitEntry(b, s.interactive)
 		if err != nil {
-			return nil, fmt.Errorf("core: shard entry for %s/%s: %w", s.name, h, err)
+			return fmt.Errorf("core: shard entry for %s/%s: %w", s.name, h, err)
 		}
-		replayed[h] = e
+		entries[h] = e
 		if st.store != nil {
-			st.persistRaw(s.key(h), raw)
+			st.persistVisit(s.key(h), b, nil)
 		}
 	}
-	return replayed, nil
+	return nil
 }
 
 // recordShardStage files one sharded stage's per-shard digests for the

@@ -159,14 +159,11 @@ type Session struct {
 	met    sessionMetrics
 	res    *resilience.Controller // nil without a retry policy
 
-	mu         sync.Mutex
-	log        []Record
-	certOrgs   map[string]string // host -> cert org
-	seq        int
-	failCounts map[string]uint64            // failure class -> terminal failures
-	siteFails  map[string]map[string]uint64 // site host -> failure class -> count
-	siteStats  map[string]VisitStats        // site host -> aggregated request stats
-	siteRecs   map[string][]int             // site host -> indices into log
+	mu        sync.Mutex
+	log       []Record
+	seq       int
+	siteFails map[string]map[string]uint64 // site host ("" for none) -> failure class -> count
+	siteRecs  map[string][]int             // site host -> indices into log
 
 	jarsMu sync.Mutex
 	jars   map[string]*cookiejar.Jar // site host -> that visit's cookie jar
@@ -270,15 +267,12 @@ func NewSession(cfg Config) (*Session, error) {
 		tr.TLSClientConfig = &tls.Config{RootCAs: cfg.RootCAs}
 	}
 	s := &Session{
-		cfg:        cfg,
-		met:        newSessionMetrics(cfg.Metrics, cfg.Country),
-		certOrgs:   map[string]string{},
-		failCounts: map[string]uint64{},
-		siteFails:  map[string]map[string]uint64{},
-		siteStats:  map[string]VisitStats{},
-		siteRecs:   map[string][]int{},
-		jars:       map[string]*cookiejar.Jar{},
-		res:        resilience.NewController(cfg.Retry),
+		cfg:       cfg,
+		met:       newSessionMetrics(cfg.Metrics, cfg.Country),
+		siteFails: map[string]map[string]uint64{},
+		siteRecs:  map[string][]int{},
+		jars:      map[string]*cookiejar.Jar{},
+		res:       resilience.NewController(cfg.Retry),
 	}
 	if s.res != nil && cfg.Metrics != nil {
 		reg := cfg.Metrics
@@ -327,14 +321,16 @@ func (s *Session) Log() []Record {
 	return out
 }
 
-// CertOrgs returns a snapshot of observed host -> certificate-organization
-// mappings.
+// CertOrgs returns the observed host -> certificate-organization
+// mappings, read off the logged records that carried one.
 func (s *Session) CertOrgs() map[string]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]string, len(s.certOrgs))
-	for k, v := range s.certOrgs {
-		out[k] = v
+	out := map[string]string{}
+	for _, r := range s.log {
+		if r.CertOrg != "" {
+			out[r.Host] = r.CertOrg
+		}
 	}
 	return out
 }
@@ -370,13 +366,16 @@ func (s *Session) PageBudget() time.Duration { return s.cfg.PageBudget }
 // Flight returns the session's flight recorder (nil when disabled).
 func (s *Session) Flight() *obs.FlightRecorder { return s.cfg.Flight }
 
-// FailureCounts snapshots terminal request failures by taxonomy class.
+// FailureCounts snapshots terminal request failures by taxonomy class,
+// summed over every site (and the failures attributed to none).
 func (s *Session) FailureCounts() map[string]uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.failCounts))
-	for k, v := range s.failCounts {
-		out[k] = v
+	out := map[string]uint64{}
+	for _, m := range s.siteFails {
+		for class, n := range m {
+			out[class] += n
+		}
 	}
 	return out
 }
@@ -390,15 +389,12 @@ func (s *Session) countFailure(class resilience.Class, siteHost string) {
 	}
 	s.met.failures[class].Inc()
 	s.mu.Lock()
-	s.failCounts[string(class)]++
-	if siteHost != "" {
-		m := s.siteFails[siteHost]
-		if m == nil {
-			m = map[string]uint64{}
-			s.siteFails[siteHost] = m
-		}
-		m[string(class)]++
+	m := s.siteFails[siteHost]
+	if m == nil {
+		m = map[string]uint64{}
+		s.siteFails[siteHost] = m
 	}
+	m[string(class)]++
 	s.mu.Unlock()
 }
 
@@ -446,26 +442,26 @@ func (s *Session) record(r Record) {
 	s.log = append(s.log, r)
 	if r.SiteHost != "" {
 		s.siteRecs[r.SiteHost] = append(s.siteRecs[r.SiteHost], len(s.log)-1)
-		st := s.siteStats[r.SiteHost]
+	}
+	s.mu.Unlock()
+}
+
+// VisitStats aggregates the logged request records of one visited site.
+func (s *Session) VisitStats(site string) VisitStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var st VisitStats
+	for _, i := range s.siteRecs[site] {
+		r := &s.log[i]
 		st.Requests++
 		if r.Host != "" && r.Host != r.SiteHost {
 			st.ThirdParty++
 		}
 		st.Cookies += len(r.SetCookies)
 		st.Bytes += int64(r.Bytes)
-		if r.Attempt > st.Attempts {
-			st.Attempts = r.Attempt
-		}
-		s.siteStats[r.SiteHost] = st
+		st.Attempts = max(st.Attempts, r.Attempt)
 	}
-	s.mu.Unlock()
-}
-
-// VisitStats returns the aggregated request stats for one visited site.
-func (s *Session) VisitStats(site string) VisitStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.siteStats[site]
+	return st
 }
 
 // Fetch retrieves rawURL, following redirects and logging every hop.
@@ -677,11 +673,7 @@ func (s *Session) doAttempt(ctx context.Context, rawURL, siteHost string, initia
 	if resp.TLS != nil && len(resp.TLS.PeerCertificates) > 0 {
 		cert := resp.TLS.PeerCertificates[0]
 		if len(cert.Subject.Organization) > 0 {
-			org := cert.Subject.Organization[0]
-			rec.CertOrg = org
-			s.mu.Lock()
-			s.certOrgs[rec.Host] = org
-			s.mu.Unlock()
+			rec.CertOrg = cert.Subject.Organization[0]
 		}
 	}
 	att := &attempt{redirectTo: rec.RedirectTo}

@@ -14,7 +14,7 @@ import (
 // through returns, call arguments, and struct fields, into ordered
 // sinks inside the deterministic packages: fmt.Fprint* and
 // Write/WriteString-shaped methods (manifest and report writers),
-// provenance.MultisetHash.Add, first-wins map stores, and calls to
+// provenance.MultisetHash.Add/AddHash, first-wins map stores, and calls to
 // module functions that feed such a sink from a parameter. PR 3's
 // certByBase bug crossed exactly this function boundary: the hosts
 // were collected in map order in one function and consumed
@@ -509,7 +509,7 @@ func (fa *flowAnalysis) sinkCall(ff *flowFunc, call *ast.CallExpr) {
 			}
 			fa.sink(ff, call.Pos(), t, named.Obj().Name()+"."+fn.Name())
 			return
-		case "Add":
+		case "Add", "AddHash":
 			obj := named.Obj()
 			if obj.Name() == "MultisetHash" && obj.Pkg() != nil &&
 				strings.HasSuffix(obj.Pkg().Path(), "internal/provenance") {
@@ -517,7 +517,7 @@ func (fa *flowAnalysis) sinkCall(ff *flowFunc, call *ast.CallExpr) {
 				for _, arg := range call.Args {
 					t = t.union(fa.exprTaint(ff, arg))
 				}
-				fa.sink(ff, call.Pos(), t, "MultisetHash.Add")
+				fa.sink(ff, call.Pos(), t, "MultisetHash."+fn.Name())
 				return
 			}
 		}

@@ -190,11 +190,10 @@ func DefaultConfig() *Config {
 			"(*pornweb/internal/store.Log).Checkpoint",
 			"(*pornweb/internal/store.Log).Close",
 			// The shard merge: a dropped error here is a shard that looked
-			// merged but was not — a silently incomplete study. Send/Merge
-			// carry the validation verdicts; the Close pair releases the
+			// merged but was not — a silently incomplete study. Dispatch
+			// carries the validation verdicts; the Close pair releases the
 			// loopback listeners.
-			"(*pornweb/internal/shard.Merger).Send",
-			"(*pornweb/internal/shard.Merger).Merge",
+			"(*pornweb/internal/shard.Coordinator).Dispatch",
 			"(*pornweb/internal/shard.Coordinator).Close",
 			"(*pornweb/internal/shard.Server).Close",
 			"(*pornweb/internal/provenance.ShardManifest).Write",

@@ -1,33 +1,32 @@
 // Fixture: silently discarded error returns from the shard merge's
-// must-check list. A dropped Send is a shard whose validation verdict
-// vanished — a corrupt or foreign result folds into the study without
-// a trace; a dropped Merge loses the drain's failure; dropped Closes
-// leak the loopback listeners; a dropped sidecar Write publishes a
-// sharded run with no per-shard provenance.
+// must-check list. A dropped Dispatch is a stage whose validation
+// verdicts vanished — a missing, corrupt or foreign shard passes as
+// merged without a trace; dropped Closes leak the loopback listeners;
+// a dropped sidecar Write publishes a sharded run with no per-shard
+// provenance.
 package shard
 
 import (
+	"context"
+
 	"pornweb/internal/provenance"
 	"pornweb/internal/shard"
 )
 
 // MergeDropped drops every control-plane error.
-func MergeDropped(m *shard.Merger, r *shard.Result, c *shard.Coordinator, s *shard.Server, sm *provenance.ShardManifest) {
-	m.Send(r)               // dropped: the validation verdict vanishes
-	m.Merge()               // dropped: the drain's failure vanishes
+func MergeDropped(ctx context.Context, c *shard.Coordinator, as []shard.Assignment, s *shard.Server, sm *provenance.ShardManifest) {
+	c.Dispatch(ctx, as)     // dropped: the validation verdicts vanish
 	defer c.Close()         // dropped: the listener leaks
 	s.Close()               // dropped: same for the worker server
 	sm.Write("shards.json") // dropped: the sidecar may not exist
 }
 
 // MergeChecked handles or acknowledges every error; no findings.
-func MergeChecked(m *shard.Merger, r *shard.Result, s *shard.Server) error {
-	if err := m.Send(r); err != nil {
-		return err
-	}
-	if _, err := m.Merge(); err != nil {
-		return err
+func MergeChecked(ctx context.Context, c *shard.Coordinator, as []shard.Assignment, s *shard.Server) (*shard.Merged, error) {
+	merged, err := c.Dispatch(ctx, as)
+	if err != nil {
+		return nil, err
 	}
 	_ = s.Close() // acknowledged drop
-	return nil
+	return merged, nil
 }

@@ -15,7 +15,6 @@ package provenance
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 )
 
 // HashJSON digests v's JSON rendering with FNV-1a 64. encoding/json
@@ -26,17 +25,43 @@ func HashJSON(v any) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("provenance: hash: %w", err)
 	}
-	h := fnv.New64a()
-	h.Write(raw)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return fmt.Sprintf("%016x", NewHasher().AddBytes(raw).Sum64()), nil
 }
 
 // HashString digests a single string with FNV-1a 64.
-func HashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+func HashString(s string) uint64 { return NewHasher().AddString(s).Sum64() }
+
+// Hasher streams FNV-1a 64 over the parts of one record in place:
+// feeding it strings and byte slices in order digests their
+// concatenation without building or copying it.
+type Hasher uint64
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// NewHasher starts an empty FNV-1a 64 digest.
+func NewHasher() Hasher { return fnvOffset64 }
+
+// AddString folds s into the digest.
+func (h Hasher) AddString(s string) Hasher {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ Hasher(s[i])) * fnvPrime64
+	}
+	return h
 }
+
+// AddBytes folds b into the digest.
+func (h Hasher) AddBytes(b []byte) Hasher {
+	for _, c := range b {
+		h = (h ^ Hasher(c)) * fnvPrime64
+	}
+	return h
+}
+
+// Sum64 returns the digest.
+func (h Hasher) Sum64() uint64 { return uint64(h) }
 
 // MultisetHash accumulates an order-independent digest over a set of
 // records: the wrapping sum of each record's FNV-1a 64 hash, folded with
@@ -52,6 +77,13 @@ type MultisetHash struct {
 // Add folds one record into the multiset.
 func (m *MultisetHash) Add(record string) {
 	m.sum += HashString(record)
+	m.n++
+}
+
+// AddHash folds one record already digested with Hasher (or
+// HashString) into the multiset: AddHash(HashString(r)) is Add(r).
+func (m *MultisetHash) AddHash(h uint64) {
+	m.sum += h
 	m.n++
 }
 

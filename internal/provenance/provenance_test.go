@@ -62,6 +62,31 @@ func TestMultisetHashOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestHasherMatchesHashString pins the streaming hasher to HashString
+// of the concatenated parts, wherever the record is split, so digests
+// computed either way stay equal.
+func TestHasherMatchesHashString(t *testing.T) {
+	for _, rec := range []string{"", "a", "site.example\x1f{\"page\":{}}", "GET https://cdn.example.com/lib.js 200"} {
+		want := HashString(rec)
+		for cut := 0; cut <= len(rec); cut++ {
+			got := NewHasher().AddString(rec[:cut]).AddBytes([]byte(rec[cut:])).Sum64()
+			if got != want {
+				t.Errorf("Hasher(%q | %q) = %x, want HashString %x", rec[:cut], rec[cut:], got, want)
+			}
+		}
+		var a, b MultisetHash
+		a.Add(rec)
+		b.AddHash(NewHasher().AddBytes([]byte(rec)).Sum64())
+		if a.Sum() != b.Sum() {
+			t.Errorf("AddHash(%q) digests %s, Add %s", rec, b.Sum(), a.Sum())
+		}
+	}
+	// The reference value of FNV-1a 64 over "a".
+	if got := HashString("a"); got != 0xaf63dc4c8601ec8c {
+		t.Errorf("HashString(\"a\") = %x, want af63dc4c8601ec8c", got)
+	}
+}
+
 func TestRecorder(t *testing.T) {
 	r := NewRecorder()
 	r.RecordStage("crawl/porn-ES", 120, "aaaa")

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"pornweb/internal/obs"
+	"pornweb/internal/provenance"
 	"pornweb/internal/resilience"
 )
 
@@ -28,9 +30,9 @@ const (
 
 // Coordinator owns one crawl's worker fleet: a registry of local and
 // remote workers (remote ones announce themselves on the /register
-// listener), a round-based dispatcher that ships shard assignments to
-// the fleet and reassigns the shards of failed workers to survivors,
-// and the merger that folds per-shard results back together
+// listener) and a round-based dispatcher that ships shard assignments
+// to the fleet, reassigns the shards of failed workers to survivors,
+// and folds the validated per-shard results together
 // order-independently.
 type Coordinator struct {
 	// MinWorkers is how many workers WaitWorkers blocks for.
@@ -248,15 +250,41 @@ func (c *Coordinator) Workers() (live, retired int) {
 	return len(c.workers) - len(c.retired), len(c.retired)
 }
 
+// Merged is the outcome of a completed dispatch: every entry of every
+// shard keyed by site, plus the per-shard digests and the combined
+// multiset digest over all entries for the shard manifest sidecar.
+type Merged struct {
+	// Entries maps site to its serialized visit entry.
+	Entries map[string][]byte
+	// Shards holds one info row per shard, ordered by shard index.
+	Shards []provenance.ShardInfo
+	// Entries folded, and the combined order-independent digest.
+	Count  int
+	Digest string
+}
+
+// shardOutcome is one worker's answer to one assignment in a wave: the
+// validated result and its entry multiset, or why it was refused.
+type shardOutcome struct {
+	a   Assignment
+	w   Worker
+	res *Result
+	sum provenance.MultisetHash
+	err error
+}
+
 // Dispatch runs one stage's assignments to completion in waves: each
 // wave deals at most one shard to each live worker and runs them in
 // parallel (the fleet size, not the shard count, is the parallelism
-// knob); a worker whose shard errors is retired and the shard requeued
-// for the next wave; waves repeat until every shard has merged or the
-// fleet is exhausted (ErrNoWorkers). Because each shard's result is a
-// deterministic function of the assignment, a reassigned shard
-// reproduces exactly the entries its first worker would have returned,
-// so the merged output is independent of which workers survived.
+// knob). Each worker goroutine validates its own result against its
+// assignment; a worker whose shard errors or fails validation is
+// retired and the shard requeued for the next wave. Waves repeat until
+// every shard has a validated result or the fleet is exhausted
+// (ErrNoWorkers), and the results are then folded once. Because each
+// shard's result is a deterministic function of the assignment, a
+// reassigned shard reproduces exactly the entries its first worker
+// would have returned, so the merged output is independent of which
+// workers survived and of the order results arrived in.
 func (c *Coordinator) Dispatch(ctx context.Context, assignments []Assignment) (*Merged, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -265,9 +293,8 @@ func (c *Coordinator) Dispatch(ctx context.Context, assignments []Assignment) (*
 	}
 	c.mu.Unlock()
 
-	m := NewMerger(assignments)
-	pending := make([]Assignment, len(assignments))
-	copy(pending, assignments)
+	done := make(map[int]shardOutcome, len(assignments))
+	pending := slices.Clone(assignments)
 	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("shard: dispatch: %w", err)
@@ -281,13 +308,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, assignments []Assignment) (*
 		if len(wave) > len(fleet) {
 			wave = pending[:len(fleet)]
 		}
-		type outcome struct {
-			a   Assignment
-			w   Worker
-			res *Result
-			err error
-		}
-		outcomes := make([]outcome, len(wave))
+		outcomes := make([]shardOutcome, len(wave))
 		var wg sync.WaitGroup
 		for i, a := range wave {
 			w := fleet[i]
@@ -306,21 +327,22 @@ func (c *Coordinator) Dispatch(ctx context.Context, assignments []Assignment) (*
 			wg.Add(1)
 			go func(i int, a Assignment, w Worker, actx context.Context, span *obs.Span) {
 				defer wg.Done()
-				res, err := w.Run(actx, a)
-				if err != nil {
-					span.SetAttr("error", err.Error())
+				o := shardOutcome{a: a, w: w}
+				o.res, o.err = w.Run(actx, a)
+				if o.err == nil {
+					o.sum, o.err = o.res.validate(a)
+				}
+				if o.err != nil {
+					span.SetAttr("error", o.err.Error())
 				}
 				span.End()
-				outcomes[i] = outcome{a: a, w: w, res: res, err: err}
+				outcomes[i] = o
 			}(i, a, w, actx, span)
 		}
 		wg.Wait()
 
-		requeue := append([]Assignment(nil), pending[len(wave):]...)
+		requeue := slices.Clone(pending[len(wave):])
 		for _, o := range outcomes {
-			if o.err == nil {
-				o.err = m.Send(o.res)
-			}
 			if o.err != nil {
 				// The worker failed the shard — or answered with a result
 				// that fails validation, which is just as disqualifying.
@@ -331,20 +353,50 @@ func (c *Coordinator) Dispatch(ctx context.Context, assignments []Assignment) (*
 				requeue = append(requeue, o.a)
 				continue
 			}
+			if _, dup := done[o.a.Shard]; dup {
+				return nil, fmt.Errorf("shard: %s shard %d already merged: %w", o.a.Stage, o.a.Shard, ErrDuplicateShard)
+			}
+			done[o.a.Shard] = o
 			c.metResults.Inc()
 			c.metEntries.Add(uint64(len(o.res.Entries)))
 			c.noteResult(o.w, o.a, o.res)
 		}
-		if _, err := m.Merge(); err != nil {
-			return nil, err
-		}
 		pending = requeue
 	}
-	merged, err := m.Finish()
-	if err == nil && len(assignments) > 0 {
+	merged := mergeShards(done)
+	if len(assignments) > 0 {
 		c.noteStage(assignments[0].Stage, len(assignments), len(merged.Shards), merged.Count)
 	}
-	return merged, err
+	return merged, nil
+}
+
+// mergeShards folds the validated results of one dispatch, in shard
+// order, into the merged view. Shard host sets are disjoint and the
+// digest is a commutative multiset sum, so the outcome does not depend
+// on which wave delivered which shard.
+func mergeShards(done map[int]shardOutcome) *Merged {
+	shards := make([]int, 0, len(done))
+	for i := range done {
+		shards = append(shards, i)
+	}
+	slices.Sort(shards)
+	out := &Merged{Entries: map[string][]byte{}}
+	var digest provenance.MultisetHash
+	for _, i := range shards {
+		o := done[i]
+		for _, e := range o.res.Entries {
+			out.Entries[e.Site] = e.Raw
+		}
+		digest.Merge(&o.sum)
+		out.Shards = append(out.Shards, provenance.ShardInfo{
+			Shard:   i,
+			Hosts:   len(o.a.Hosts),
+			Entries: len(o.res.Entries),
+			Digest:  o.res.Digest,
+		})
+	}
+	out.Count, out.Digest = digest.Count(), digest.Sum()
+	return out
 }
 
 // Close retires the registration listener and asks every live remote

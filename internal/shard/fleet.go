@@ -202,7 +202,7 @@ func (c *Coordinator) noteResult(w Worker, a Assignment, res *Result) {
 	// Federate: the worker's metric delta lands in the coordinator
 	// registry under worker/shard labels. Deltas add commutatively, so
 	// results may arrive (and merge) in any order — the observability
-	// mirror of the data Merger's order-independence.
+	// mirror of the data merge's order-independence.
 	c.reg.MergeSnapshot(tel.Metrics, "shard", strconv.Itoa(res.Shard), "worker", name)
 	for _, ev := range tel.Flight {
 		ev.Worker = name

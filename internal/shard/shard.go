@@ -40,7 +40,9 @@ import (
 // Typed errors. Callers branch on these with errors.Is.
 var (
 	// ErrBadFrame: a wire frame is torn, truncated, or corrupt (bad
-	// magic, impossible length, CRC mismatch, unparsable payload).
+	// magic, impossible length, CRC mismatch, unparsable payload), or a
+	// result does not answer its assignment (wrong stage or shard, or a
+	// missing, repeated or unassigned site).
 	ErrBadFrame = errors.New("shard: bad frame")
 	// ErrFingerprintMismatch: a worker was handed an assignment from a
 	// study configuration it was not built for.
@@ -126,14 +128,21 @@ type Result struct {
 }
 
 // ComputeDigest folds every entry into an order-independent multiset
-// digest: the value workers stamp into Result.Digest and the merger
-// re-derives to verify the wire payload.
+// digest: the value workers stamp into Result.Digest and the
+// coordinator re-derives to verify the wire payload.
 func (r *Result) ComputeDigest() string {
+	m := r.entrySum()
+	return m.Sum()
+}
+
+// entrySum is the multiset of the result's entries, each hashed once
+// in place as site, a 0x1f separator, then the raw bytes.
+func (r *Result) entrySum() provenance.MultisetHash {
 	var m provenance.MultisetHash
 	for _, e := range r.Entries {
-		m.Add(e.Site + "\x1f" + string(e.Raw))
+		m.AddHash(provenance.NewHasher().AddString(e.Site).AddString("\x1f").AddBytes(e.Raw).Sum64())
 	}
-	return m.Sum()
+	return m
 }
 
 // SortEntries orders the entries by site, the canonical wire order.
@@ -211,25 +220,37 @@ func (k *KillSwitch) Dead() bool {
 }
 
 // validate checks a result against its assignment before it may enter
-// the merge: right stage and shard, sites within the assigned host
-// set, and the digest the worker claimed.
-func (r *Result) validate(a Assignment) error {
+// the merge: right stage and shard, exactly one entry per assigned
+// host, and the digest the worker claimed. It returns the entries'
+// multiset so the merge folds the sum validation already computed.
+func (r *Result) validate(a Assignment) (provenance.MultisetHash, error) {
+	var none provenance.MultisetHash
 	if r.Stage != a.Stage || r.Shard != a.Shard {
-		return fmt.Errorf("shard: result for %s/%d answers assignment %s/%d: %w",
+		return none, fmt.Errorf("shard: result for %s/%d answers assignment %s/%d: %w",
 			r.Stage, r.Shard, a.Stage, a.Shard, ErrBadFrame)
 	}
-	allowed := make(map[string]bool, len(a.Hosts))
+	seen := make(map[string]bool, len(a.Hosts))
 	for _, h := range a.Hosts {
-		allowed[h] = true
+		seen[h] = false
 	}
 	for _, e := range r.Entries {
-		if !allowed[e.Site] {
-			return fmt.Errorf("shard: result entry for unassigned site %q: %w", e.Site, ErrBadFrame)
+		done, assigned := seen[e.Site]
+		if !assigned {
+			return none, fmt.Errorf("shard: result entry for unassigned site %q: %w", e.Site, ErrBadFrame)
 		}
+		if done {
+			return none, fmt.Errorf("shard: result repeats site %q: %w", e.Site, ErrBadFrame)
+		}
+		seen[e.Site] = true
 	}
-	if got := r.ComputeDigest(); got != r.Digest {
-		return fmt.Errorf("shard: %s shard %d digests %s, worker claimed %s: %w",
+	if len(r.Entries) != len(seen) {
+		return none, fmt.Errorf("shard: %s shard %d answers %d of %d assigned sites: %w",
+			r.Stage, r.Shard, len(r.Entries), len(seen), ErrBadFrame)
+	}
+	sum := r.entrySum()
+	if got := sum.Sum(); got != r.Digest {
+		return none, fmt.Errorf("shard: %s shard %d digests %s, worker claimed %s: %w",
 			r.Stage, r.Shard, got, r.Digest, ErrDigestMismatch)
 	}
-	return nil
+	return sum, nil
 }

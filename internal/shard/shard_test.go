@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -163,105 +164,141 @@ func TestKillSwitch(t *testing.T) {
 	}
 }
 
-func TestMergerOrderIndependent(t *testing.T) {
+// dispatch runs assignments through a fresh coordinator over the given
+// workers and closes it.
+func dispatch(t *testing.T, assignments []Assignment, workers ...Worker) (*Merged, *Coordinator, error) {
+	t.Helper()
+	c := NewCoordinator(obs.NewRegistry())
+	for _, w := range workers {
+		c.AddWorker(w)
+	}
+	merged, err := c.Dispatch(context.Background(), assignments)
+	if cerr := c.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	return merged, c, err
+}
+
+func TestDispatchOrderIndependent(t *testing.T) {
 	hosts := testHosts(60)
 	run := &fakeRunner{}
 	assignments := testAssignments(hosts, 4)
+	reversed := slices.Clone(assignments)
+	slices.Reverse(reversed)
 
-	results := make([]*Result, len(assignments))
-	for i, a := range assignments {
-		r, err := run.RunShard(context.Background(), a, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i] = r
+	// One worker folds the shards one wave at a time in dispatch order;
+	// four run them in a single wave.
+	one := []Worker{&LocalWorker{Label: "w0", Runner: run}}
+	four := []Worker{&LocalWorker{Label: "w0", Runner: run}, &LocalWorker{Label: "w1", Runner: run},
+		&LocalWorker{Label: "w2", Runner: run}, &LocalWorker{Label: "w3", Runner: run}}
+	fwd, _, err := dispatch(t, assignments, one...)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	mergeIn := func(order []int) *Merged {
-		m := NewMerger(assignments)
-		for _, i := range order {
-			if err := m.Send(results[i]); err != nil {
-				t.Fatalf("Send shard %d: %v", i, err)
+	for name, order := range map[string][]Assignment{"reversed": reversed, "forward": assignments} {
+		for _, fleet := range [][]Worker{one, four} {
+			got, _, err := dispatch(t, order, fleet...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Digest != fwd.Digest {
+				t.Errorf("%s, %d workers: merge digest %s, want %s", name, len(fleet), got.Digest, fwd.Digest)
+			}
+			if !reflect.DeepEqual(got.Entries, fwd.Entries) {
+				t.Errorf("%s, %d workers: merged entries depend on arrival order", name, len(fleet))
+			}
+			if !reflect.DeepEqual(got.Shards, fwd.Shards) {
+				t.Errorf("%s, %d workers: shard manifest rows depend on arrival order", name, len(fleet))
 			}
 		}
-		out, err := m.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	fwd := mergeIn([]int{0, 1, 2, 3})
-	rev := mergeIn([]int{3, 2, 1, 0})
-	if fwd.Digest != rev.Digest {
-		t.Errorf("merge digest depends on arrival order: %s vs %s", fwd.Digest, rev.Digest)
-	}
-	if !reflect.DeepEqual(fwd.Entries, rev.Entries) {
-		t.Error("merged entries depend on arrival order")
-	}
-	if !reflect.DeepEqual(fwd.Shards, rev.Shards) {
-		t.Error("shard manifest rows depend on arrival order")
 	}
 	if fwd.Count != len(hosts) {
 		t.Errorf("merged %d entries, want %d", fwd.Count, len(hosts))
 	}
 }
 
-func TestMergerRejects(t *testing.T) {
+// tamperRunner answers like fakeRunner, then corrupts each result.
+type tamperRunner struct {
+	fakeRunner
+	tamper func(*Result)
+}
+
+func (r *tamperRunner) RunShard(ctx context.Context, a Assignment, kill *KillSwitch) (*Result, error) {
+	res, err := r.fakeRunner.RunShard(ctx, a, kill)
+	if err == nil {
+		r.tamper(res)
+	}
+	return res, err
+}
+
+// TestDispatchRejects pins every way a worker's result can fail
+// validation: each is refused with its typed error, the worker is
+// retired under that failure class, and its shard is reassigned so the
+// merge still holds every visit exactly once.
+func TestDispatchRejects(t *testing.T) {
 	hosts := testHosts(20)
-	run := &fakeRunner{}
 	assignments := testAssignments(hosts, 2)
-	r0, err := run.RunShard(context.Background(), assignments[0], nil)
+	if len(assignments[0].Hosts) < 2 {
+		t.Fatal("shard 0 has fewer than two hosts; enlarge the host list")
+	}
+	want, _, err := dispatch(t, assignments, &LocalWorker{Label: "honest", Runner: &fakeRunner{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	redigest := func(r *Result) { r.Digest = r.ComputeDigest() }
+	cases := []struct {
+		name   string
+		tamper func(*Result)
+		want   error
+		class  string
+	}{
+		// A tampered entry must fail the digest re-derivation.
+		{"tampered", func(r *Result) { r.Entries[0].Raw = []byte("tampered") }, ErrDigestMismatch, "digest_mismatch"},
+		{"wrong-shard", func(r *Result) { r.Shard = 9 }, ErrBadFrame, "bad_frame"},
+		// The rest are rejected even with an internally consistent digest.
+		{"stray-site", func(r *Result) {
+			r.Entries = append(r.Entries, Entry{Site: "not-assigned.example.com", Raw: []byte("x")})
+			redigest(r)
+		}, ErrBadFrame, "bad_frame"},
+		{"short", func(r *Result) { r.Entries = r.Entries[1:]; redigest(r) }, ErrBadFrame, "bad_frame"},
+		{"duplicate-site", func(r *Result) {
+			r.Entries[1] = r.Entries[0]
+			redigest(r)
+		}, ErrBadFrame, "bad_frame"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := (&tamperRunner{tamper: tc.tamper}).RunShard(context.Background(), assignments[0], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := res.validate(assignments[0]); !errors.Is(err, tc.want) {
+				t.Fatalf("validate: %v, want %v", err, tc.want)
+			}
+			got, c, err := dispatch(t, assignments,
+				&LocalWorker{Label: "liar", Runner: &tamperRunner{tamper: tc.tamper}},
+				&LocalWorker{Label: "honest", Runner: &fakeRunner{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Digest != want.Digest || got.Count != len(hosts) || !reflect.DeepEqual(got.Entries, want.Entries) {
+				t.Errorf("merge after rejection: %d entries digest %s, want %d digest %s",
+					got.Count, got.Digest, len(hosts), want.Digest)
+			}
+			rep := c.FleetReport()
+			if rep.Retired != 1 || rep.Failures[tc.class] != 1 {
+				t.Errorf("fleet after rejection: %d retired, failures %v; want the liar retired as %s",
+					rep.Retired, rep.Failures, tc.class)
+			}
+		})
+	}
 
-	m := NewMerger(assignments)
-	if err := m.Send(r0); err != nil {
-		t.Fatalf("first Send: %v", err)
-	}
-	if err := m.Send(r0); !errors.Is(err, ErrDuplicateShard) {
-		t.Errorf("duplicate Send: %v, want ErrDuplicateShard", err)
-	}
-	if _, err := m.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Send(r0); !errors.Is(err, ErrDuplicateShard) {
-		t.Errorf("Send after merge: %v, want ErrDuplicateShard", err)
-	}
-
-	unknown := &Result{Stage: "crawl/test", Shard: 9}
-	if err := m.Send(unknown); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("unknown shard Send: %v, want ErrBadFrame", err)
-	}
-
-	// A tampered entry must fail the digest re-derivation.
-	r1, err := run.RunShard(context.Background(), assignments[1], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Entries) == 0 {
-		t.Fatal("shard 1 is empty; enlarge the host list")
-	}
-	r1.Entries[0].Raw = append([]byte(nil), "tampered"...)
-	if err := m.Send(r1); !errors.Is(err, ErrDigestMismatch) {
-		t.Errorf("tampered Send: %v, want ErrDigestMismatch", err)
-	}
-
-	// An entry outside the assigned host set is rejected even if the
-	// digest is internally consistent.
-	stray := &Result{Stage: "crawl/test", Shard: 1,
-		Entries: []Entry{{Site: "not-assigned.example.com", Raw: []byte("x")}}}
-	stray.Digest = stray.ComputeDigest()
-	if err := m.Send(stray); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("stray-site Send: %v, want ErrBadFrame", err)
-	}
-
-	if _, err := m.Finish(); err == nil {
-		t.Error("Finish with a missing shard did not error")
-	}
-	if got := m.Missing(); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("Missing() = %v, want [1]", got)
+	// Two results for one shard index are an accounting bug, never
+	// folded twice.
+	dup := append(slices.Clone(assignments), assignments[0])
+	if _, _, err := dispatch(t, dup, &LocalWorker{Label: "w0", Runner: &fakeRunner{}},
+		&LocalWorker{Label: "w1", Runner: &fakeRunner{}}, &LocalWorker{Label: "w2", Runner: &fakeRunner{}}); !errors.Is(err, ErrDuplicateShard) {
+		t.Errorf("duplicate shard: %v, want ErrDuplicateShard", err)
 	}
 }
 
@@ -356,18 +393,8 @@ func TestRemoteLoopback(t *testing.T) {
 	run := &fakeRunner{}
 	assignments := testAssignments(hosts, 2)
 
-	// Serial truth to compare the remote dispatch against.
-	serial := NewMerger(assignments)
-	for _, a := range assignments {
-		r, err := run.RunShard(context.Background(), a, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := serial.Send(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := serial.Finish()
+	// In-process truth to compare the remote dispatch against.
+	want, _, err := dispatch(t, assignments, &LocalWorker{Label: "local", Runner: run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,10 +443,10 @@ func TestRemoteLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Digest != want.Digest {
-		t.Errorf("remote dispatch digest %s, serial %s", got.Digest, want.Digest)
+		t.Errorf("remote dispatch digest %s, in-process %s", got.Digest, want.Digest)
 	}
 	if !reflect.DeepEqual(got.Entries, want.Entries) {
-		t.Error("remote dispatch entries differ from serial merge")
+		t.Error("remote dispatch entries differ from in-process merge")
 	}
 
 	// A worker built for a different study refuses foreign work with a
