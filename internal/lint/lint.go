@@ -223,8 +223,7 @@ func DefaultConfig() *Config {
 		},
 		WireStructs: []string{
 			"Assignment",
-			"Result",
-			"Entry",
+			"resultHeader",
 			"Telemetry",
 		},
 		WireSchema: "testdata/wire_schema.txt",

@@ -249,18 +249,18 @@ func TestDetFlowCrossFunctionCaught(t *testing.T) {
 }
 
 // TestWireFieldRemovalCaught pins the other acceptance criterion:
-// deleting a field from shard.Result in a scratch fixture is flagged
-// by wirecompat as a removal against the golden schema.
+// deleting a field from the shard result header in a scratch fixture
+// is flagged by wirecompat as a removal against the golden schema.
 func TestWireFieldRemovalCaught(t *testing.T) {
 	findings := runFixture(t, sharedLoader(t), "wirecompat_removed", "fixture/wirecompat2/internal/shard")
 	for _, f := range findings {
 		if f.Analyzer == "wirecompat" &&
-			strings.Contains(f.Message, "Result.Digest") &&
+			strings.Contains(f.Message, "resultHeader.Digest") &&
 			strings.Contains(f.Message, "removed") {
 			return
 		}
 	}
-	t.Errorf("wirecompat did not flag the deleted Result.Digest field; findings: %v", findings)
+	t.Errorf("wirecompat did not flag the deleted resultHeader.Digest field; findings: %v", findings)
 }
 
 // TestAnalyzerNamesStable pins the suite roster; new analyzers must

@@ -1,4 +1,4 @@
-// Four wire structs, each drifted from the golden schema in testdata
+// Three wire structs, each drifted from the golden schema in testdata
 // in a different append-only-violating way; wirecompat must flag every
 // one against the locked layout.
 package shard
@@ -10,18 +10,13 @@ type Assignment struct {
 	ShardID int    `json:"shard"`
 }
 
-// Entry changed Raw from []byte to string: old frames no longer
-// decode.
-type Entry struct {
-	Site string `json:"site"`
-	Raw  string `json:"raw"`
-}
-
-// Result dropped Digest — the acceptance-criterion case: deleting a
-// field from shard.Result is a removal finding.
-type Result struct {
-	Stage string `json:"stage"`
-	Shard int    `json:"shard"`
+// resultHeader changed Entries from int to string — old frames no
+// longer decode — and dropped Digest, the acceptance-criterion case:
+// deleting a field from the result header is a removal finding.
+type resultHeader struct {
+	Stage   string `json:"stage"`
+	Shard   int    `json:"shard"`
+	Entries string `json:"entries"`
 }
 
 // Telemetry appended Spans without omitempty: frames from binaries

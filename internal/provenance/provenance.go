@@ -87,13 +87,13 @@ func (m *MultisetHash) AddHash(h uint64) {
 	m.n++
 }
 
-// Remove folds one previously added record back out, inverting Add —
-// the sum is wrapping addition, so subtraction is exact. Removing a
-// record that was never added corrupts the digest; callers own that
-// invariant (the store uses Remove only to supersede a replayed
-// duplicate it just re-read).
-func (m *MultisetHash) Remove(record string) {
-	m.sum -= HashString(record)
+// RemoveHash folds one previously added record hash back out,
+// inverting AddHash — the sum is wrapping addition, so subtraction is
+// exact. Removing a hash that was never added corrupts the digest;
+// callers own that invariant (the store uses it only to supersede a
+// re-appended key).
+func (m *MultisetHash) RemoveHash(h uint64) {
+	m.sum -= h
 	m.n--
 }
 

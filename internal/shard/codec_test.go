@@ -1,7 +1,11 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -86,10 +90,7 @@ func TestCodecRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cases := []struct {
-		name string
-		b    []byte
-	}{
+	cases := []damaged{
 		{"empty", nil},
 		{"torn header", frame[:6]},
 		{"torn payload", frame[:len(frame)/2]},
@@ -101,6 +102,7 @@ func TestCodecRejectsDamage(t *testing.T) {
 		{"flipped payload bit", mutate(frame, 15)},
 		{"corrupt crc", mutate(frame, len(frame)-1)},
 	}
+	cases = append(cases, recordDamage(t)...)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if _, err := DecodeResult(c.b); !errors.Is(err, ErrBadFrame) {
@@ -124,10 +126,7 @@ func TestCodecRejectsDamage(t *testing.T) {
 
 	// Valid framing around an unparsable payload still errors: CRC
 	// protects transport, JSON protects structure.
-	bad, err := encodeFrame(typeResult, "not a result object")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bad := appendFrame(nil, typeResult, []byte(`"not a result object"`))
 	if _, err := DecodeResult(bad); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("non-object payload: %v, want ErrBadFrame", err)
 	}
@@ -177,6 +176,53 @@ func TestDigestIgnoresTelemetry(t *testing.T) {
 	without.Telemetry = nil
 	if with.ComputeDigest() != without.ComputeDigest() {
 		t.Error("digest changed when telemetry sidecar was dropped")
+	}
+}
+
+// damaged is one broken message and what broke it.
+type damaged struct {
+	name string
+	b    []byte
+}
+
+// recordDamage breaks testResult's message after its intact header
+// frame, in the records and in how they match the header's count.
+// Every one must fail with ErrBadFrame.
+func recordDamage(t testing.TB) []damaged {
+	t.Helper()
+	r := testResult()
+	frame, err := EncodeResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrEnd := frameOverhead + int(binary.BigEndian.Uint32(frame[5:9]))
+	records := frame[hdrEnd:]
+	// withCount re-frames the header claiming n entries, then appends
+	// the original records.
+	withCount := func(n int) []byte {
+		payload, err := json.Marshal(resultHeader{Stage: r.Stage, Shard: r.Shard, Worker: r.Worker,
+			Entries: n, Digest: r.Digest, Telemetry: r.Telemetry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(appendFrame(nil, typeResult, payload), records...)
+	}
+	// A record with a valid CRC whose keyLen (0xffff) overruns its
+	// four-byte payload.
+	payload := []byte{0xff, 0xff, 'a', 'b'}
+	overrun := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	overrun = binary.BigEndian.AppendUint32(overrun, crc32.ChecksumIEEE(payload))
+	overrun = append(overrun, payload...)
+	return []damaged{
+		{"torn record", frame[:len(frame)-3]},
+		{"record header only", frame[:hdrEnd+6]},
+		{"record CRC flip", mutate(frame, hdrEnd+4)},
+		{"record payload flip", mutate(frame, hdrEnd+12)},
+		{"count above records", withCount(len(r.Entries) + 1)},
+		{"count below records", withCount(len(r.Entries) - 1)},
+		{"negative count", withCount(-1)},
+		{"bytes after last record", append(bytes.Clone(frame), 0, 0, 0, 2, 0)},
+		{"key overruns record", append(withCount(len(r.Entries)+1), overrun...)},
 	}
 }
 

@@ -37,8 +37,15 @@ func FuzzShardCodec(f *testing.F) {
 		f.Add(frame)
 		f.Add(mutate(frame, len(frame)/3))
 	}
+	// Damage past an intact header frame: torn and corrupt records, and
+	// records that do not match the header's entry count.
+	for _, d := range recordDamage(f) {
+		f.Add(d.b)
+	}
 	f.Add([]byte{})
 	f.Add([]byte(frameMagic))
+	f.Add([]byte("PWS2\x01\xff\xff\xff\xff"))
+	// The previous wire version's shape, which must be refused.
 	f.Add([]byte("PWS1\x01\xff\xff\xff\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -13,11 +13,15 @@
 // function of seed, config and site), so the coordinator folds worker
 // results back into a crawl stage through the same replay path a
 // crash-resumed run uses — machinery the crash-safety gate already
-// holds to byte-identity. And every shard carries an order-independent
-// multiset digest over its entries, the commutative-merge verification
-// primitive: the coordinator recomputes and checks it on ingestion
-// (detecting wire corruption and nondeterministic workers), and the
-// merged digests land in a per-run shard manifest sidecar.
+// holds to byte-identity. On the wire each visit is a store record
+// (codec.go), so the coordinator decodes no entry layer: it verifies
+// each record's CRC, hands out sub-slices of the received buffer, and
+// persists those bytes as they arrived. And every shard carries an
+// order-independent multiset digest over its entries, the
+// commutative-merge verification primitive: the coordinator recomputes
+// and checks it on ingestion (detecting wire corruption and
+// nondeterministic workers), and the merged digests land in a per-run
+// shard manifest sidecar.
 //
 // Worker failure is survivable: a worker whose assignment errors is
 // retired from the fleet and its shard is reassigned to a surviving
@@ -100,31 +104,33 @@ type Assignment struct {
 }
 
 // Entry is one completed visit in its durable serialized form: the
-// exact bytes the coordinator's store would persist for the site.
+// exact bytes the coordinator's store would persist for the site. On
+// the wire it is one store record keyed by Site.
 type Entry struct {
-	Site string `json:"site"`
-	Raw  []byte `json:"raw"`
+	Site string
+	Raw  []byte
 }
 
 // Result is a worker's answer to one assignment: every visit of the
 // shard as a serialized entry, plus the order-independent multiset
-// digest over them that the coordinator re-verifies on ingestion.
+// digest over them that the coordinator re-verifies on ingestion. On
+// the wire everything but Entries travels as the JSON resultHeader.
 type Result struct {
-	Stage string `json:"stage"`
-	Shard int    `json:"shard"`
+	Stage string
+	Shard int
 	// Worker names the worker that produced the result — volatile
 	// (reassignment changes it), excluded from the digest.
-	Worker string `json:"worker,omitempty"`
+	Worker string
 	// Entries is sorted by site so a result's wire encoding is
 	// deterministic.
-	Entries []Entry `json:"entries"`
-	Digest  string  `json:"digest"`
+	Entries []Entry
+	Digest  string
 	// Telemetry is the worker's observability sidecar for this shard —
 	// metric deltas, sampled spans, flight events. Like Worker it is
 	// volatile and excluded from the digest (ComputeDigest folds entries
 	// only), so a truncated or absent snapshot degrades the fleet view
 	// without touching data equivalence.
-	Telemetry *Telemetry `json:"telemetry,omitempty"`
+	Telemetry *Telemetry
 }
 
 // ComputeDigest folds every entry into an order-independent multiset

@@ -1,12 +1,15 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -79,7 +82,8 @@ func (w *RemoteWorker) Name() string { return w.Label }
 
 // Run implements Worker: frame the assignment, POST it to the worker's
 // /run endpoint, and decode the framed result. A 409 is the worker
-// refusing a foreign config fingerprint and is never retried.
+// refusing a foreign config fingerprint and a 400 an assignment it
+// could not decode (ErrBadFrame); neither is retried.
 func (w *RemoteWorker) Run(ctx context.Context, a Assignment) (*Result, error) {
 	frame, err := EncodeAssignment(&a)
 	if err != nil {
@@ -94,6 +98,11 @@ func (w *RemoteWorker) Run(ctx context.Context, a Assignment) (*Result, error) {
 	case http.StatusConflict:
 		return nil, fmt.Errorf("shard: worker %s: %s: %w", w.Label,
 			strings.TrimSpace(string(body)), ErrFingerprintMismatch)
+	case http.StatusBadRequest:
+		// The worker could not decode the assignment: most likely a
+		// peer on another wire version.
+		return nil, fmt.Errorf("shard: worker %s: %s: %w", w.Label,
+			strings.TrimSpace(string(body)), ErrBadFrame)
 	default:
 		return nil, fmt.Errorf("shard: worker %s: HTTP %d: %s", w.Label, status,
 			strings.TrimSpace(string(body)))
@@ -182,7 +191,7 @@ func postRouted(ctx context.Context, client *http.Client, ctrl *resilience.Contr
 			lastErr = err
 			continue
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(body)))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 		if err != nil {
 			return 0, nil, fmt.Errorf("shard: build request: %w", err)
 		}
@@ -197,13 +206,16 @@ func postRouted(ctx context.Context, client *http.Client, ctrl *resilience.Contr
 			}
 			continue
 		}
-		respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxFramePayload+frameOverhead))
+		respBody, err := readMessage(resp.Body, resp.ContentLength)
 		if cerr := resp.Body.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
 		if err != nil {
 			ctrl.Report(host, false)
 			lastErr = err
+			if errors.Is(err, ErrBadFrame) {
+				break // over the cap: a retry would get the same body
+			}
 			continue
 		}
 		if resilience.RetryableStatus(resp.StatusCode) && attempt < attempts {
@@ -348,7 +360,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxFramePayload+frameOverhead))
+	body, err := readMessage(r.Body, r.ContentLength)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("read assignment: %v", err), http.StatusBadRequest)
 		return
@@ -431,6 +443,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	_, _ = w.Write(frame)
 }
 

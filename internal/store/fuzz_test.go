@@ -47,8 +47,7 @@ func FuzzReplay(f *testing.F) {
 
 	// Seed corpus: clean end, torn header, torn payload, a full valid
 	// record, bit-flipped length/CRC/payload bytes, and a huge length.
-	valid := encodeRecordPayload(Key{Stage: "s", Corpus: "porn", Vantage: "ES", Site: "extra"}.Encode(), []byte("v"))
-	rec := frameRecord(valid)
+	rec := AppendRecord(nil, Key{Stage: "s", Corpus: "porn", Vantage: "ES", Site: "extra"}.Encode(), []byte("v"))
 	f.Add([]byte{})
 	f.Add(rec[:3])
 	f.Add(rec[:len(rec)-1])
@@ -111,10 +110,4 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("append after recovery: %v", err)
 		}
 	})
-}
-
-// frameRecord renders one full framed record (length, CRC, payload)
-// the way segment.append lays it down.
-func frameRecord(payload []byte) []byte {
-	return appendFrame(nil, payload)
 }

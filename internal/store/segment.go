@@ -5,33 +5,27 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+	"slices"
+
+	"pornweb/internal/provenance"
 )
 
 // Segment layout. A segment is a header followed by zero or more
-// framed records:
+// records in the record codec's framing (record.go):
 //
 //	header:  magic [8]byte "PWSTORE\x01"
 //	         version u32
 //	         seed    u64 (two's complement of the int64 seed)
 //	         fpLen   u16
 //	         fp      [fpLen]byte config fingerprint
-//	record:  length  u32  payload byte count
-//	         crc     u32  CRC-32 (IEEE) of payload
-//	         payload [length]byte = keyLen u16 | key | value
+//	record:  length u32 | crc u32 | keyLen u16 | key | value
 //
-// All integers are big-endian. The CRC covers only the payload; the
-// length field is implicitly verified because a corrupted length
-// either overruns the file (torn tail) or frames a payload whose CRC
-// cannot match.
+// All integers are big-endian.
 const (
-	segMagic      = "PWSTORE\x01"
-	segVersion    = 1
-	recHeaderSize = 8         // length + crc
-	maxRecordSize = 1 << 30   // sanity bound: a corrupt length field must not allocate 4 GiB
-	maxKeySize    = 1<<16 - 1 // keyLen is a u16
+	segMagic   = "PWSTORE\x01"
+	segVersion = 1
 )
 
 // segment is one open segment file. The last segment of a log is
@@ -42,6 +36,8 @@ type segment struct {
 	file *os.File
 	w    *bufio.Writer // nil once sealed
 	size int64         // logical size including buffered bytes
+	// scratch is reused to frame each appended record.
+	scratch []byte
 }
 
 // headerSize returns the encoded header length for the options' fingerprint.
@@ -120,12 +116,10 @@ func openSegment(path string, opts Options) (*segment, error) {
 	return &segment{path: path, file: f, size: int64(len(hdr))}, nil
 }
 
-// valueLoc is a replay/append callback payload: where the value bytes
-// live plus the digest payload (key, separator, value).
-type valueLoc struct {
-	off     int64
-	size    int
-	payload string
+// recordSum hashes one record for the store digest: key, separator,
+// value, in place.
+func recordSum(key string, value []byte) uint64 {
+	return provenance.NewHasher().AddString(key).AddString(keySep).AddBytes(value).Sum64()
 }
 
 // replay scans every record after the header, calling fn for each
@@ -134,47 +128,49 @@ type valueLoc struct {
 // last valid byte and the segment becomes active (appendable). The
 // same damage in an earlier segment is ErrCorrupt — those were sealed
 // and fully synced, so a bad record there is real corruption, not a
-// crash artifact.
-func (s *segment) replay(last bool, fn func(key string, loc valueLoc)) (entries int, truncated bool, err error) {
+// crash artifact. Each record is read into one reused buffer; fn's
+// loc leaves seg for the caller to fill in.
+func (s *segment) replay(last bool, fn func(key string, loc entryLoc)) (entries int, truncated bool, err error) {
+	info, err := s.file.Stat()
+	if err != nil {
+		return 0, false, fmt.Errorf("store: replay stat: %w", err)
+	}
 	if _, err := s.file.Seek(s.size, io.SeekStart); err != nil {
 		return 0, false, fmt.Errorf("store: replay seek: %w", err)
 	}
 	r := bufio.NewReaderSize(s.file, 1<<16)
 	off := s.size
-	var hdr [recHeaderSize]byte
+	buf := make([]byte, recHeaderSize, 1<<12)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, buf[:recHeaderSize]); err != nil {
 			if errors.Is(err, io.EOF) {
 				break // clean end
 			}
 			// Partial record header: torn tail.
 			return s.finishReplay(last, off, entries)
 		}
-		length := binary.BigEndian.Uint32(hdr[:4])
-		wantCRC := binary.BigEndian.Uint32(hdr[4:8])
-		if length < 2 || length > maxRecordSize {
+		n, err := recordSize(buf)
+		if err != nil || off+int64(n) > info.Size() {
+			// A corrupt length must not size the buffer past the file.
 			return s.finishReplay(last, off, entries)
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		buf = slices.Grow(buf[:recHeaderSize], n-recHeaderSize)[:n]
+		if _, err := io.ReadFull(r, buf[recHeaderSize:]); err != nil {
 			return s.finishReplay(last, off, entries)
 		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
+		kb, value, _, err := ParseRecord(buf)
+		if err != nil {
 			return s.finishReplay(last, off, entries)
 		}
-		keyLen := int(binary.BigEndian.Uint16(payload[:2]))
-		if 2+keyLen > len(payload) {
-			return s.finishReplay(last, off, entries)
-		}
-		key := string(payload[2 : 2+keyLen])
-		value := payload[2+keyLen:]
-		fn(key, valueLoc{
-			off:     off + recHeaderSize + 2 + int64(keyLen),
-			size:    len(value),
-			payload: key + keySep + string(value),
+		key := string(kb)
+		fn(key, entryLoc{
+			off:  off + int64(n-len(value)),
+			size: len(value),
+			sum:  recordSum(key, value),
 		})
 		entries++
-		off += recHeaderSize + int64(length)
+		off += int64(n)
+		buf = buf[:recHeaderSize]
 	}
 	s.size = off
 	if last {
@@ -209,48 +205,26 @@ func (s *segment) activate() {
 	}
 }
 
-// append frames and buffers one record, returning where its value
-// bytes will live and the digest payload.
-func (s *segment) append(key string, value []byte) (valueLoc, string, error) {
+// append frames one record into the segment's scratch buffer and
+// buffers it, returning where its value bytes will live (seg unset).
+func (s *segment) append(key string, value []byte) (entryLoc, error) {
 	if s.w == nil {
-		return valueLoc{}, "", fmt.Errorf("store: append to sealed segment %s", s.path)
+		return entryLoc{}, fmt.Errorf("store: append to sealed segment %s", s.path)
 	}
-	if len(key) > maxKeySize {
-		return valueLoc{}, "", fmt.Errorf("store: key too large (%d bytes)", len(key))
+	if len(key) > MaxKeySize {
+		return entryLoc{}, fmt.Errorf("store: key too large (%d bytes)", len(key))
 	}
-	payload := encodeRecordPayload(key, value)
-	var hdr [recHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := s.w.Write(hdr[:]); err != nil {
-		return valueLoc{}, "", fmt.Errorf("store: append: %w", err)
+	s.scratch = AppendRecord(s.scratch[:0], key, value)
+	if _, err := s.w.Write(s.scratch); err != nil {
+		return entryLoc{}, fmt.Errorf("store: append: %w", err)
 	}
-	if _, err := s.w.Write(payload); err != nil {
-		return valueLoc{}, "", fmt.Errorf("store: append: %w", err)
-	}
-	loc := valueLoc{
-		off:  s.size + recHeaderSize + 2 + int64(len(key)),
+	loc := entryLoc{
+		off:  s.size + RecordOverhead + int64(len(key)),
 		size: len(value),
+		sum:  recordSum(key, value),
 	}
-	s.size += recHeaderSize + int64(len(payload))
-	return loc, key + keySep + string(value), nil
-}
-
-// encodeRecordPayload renders keyLen|key|value.
-func encodeRecordPayload(key string, value []byte) []byte {
-	payload := make([]byte, 0, 2+len(key)+len(value))
-	payload = binary.BigEndian.AppendUint16(payload, uint16(len(key)))
-	payload = append(payload, key...)
-	payload = append(payload, value...)
-	return payload
-}
-
-// appendFrame appends one complete framed record (length, CRC,
-// payload) to dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	s.size += int64(len(s.scratch))
+	return loc, nil
 }
 
 // writeTorn plants a deliberately torn record — the full frame header
@@ -261,12 +235,8 @@ func (s *segment) writeTorn(key string, value []byte) {
 	if s.w == nil {
 		return
 	}
-	payload := encodeRecordPayload(key, value)
-	var hdr [recHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	_, _ = s.w.Write(hdr[:])
-	_, _ = s.w.Write(payload[:len(payload)/2])
+	rec := AppendRecord(nil, key, value)
+	_, _ = s.w.Write(rec[:recHeaderSize+(len(rec)-recHeaderSize)/2])
 	_ = s.w.Flush()
 	_ = s.file.Sync()
 }

@@ -12,6 +12,7 @@
 //
 //	seg-000001.wal   append-only segments: a fingerprint header, then
 //	                 length-prefixed, CRC-checksummed key/value records
+//	                 (record.go; the shard wire carries the same records)
 //	checkpoint.json  entry count, content digest, and per-segment
 //	                 durable sizes, rewritten atomically on Checkpoint
 //
@@ -176,9 +177,10 @@ func (o Options) withDefaults() Options {
 
 // entryLoc addresses one entry's value bytes inside a segment.
 type entryLoc struct {
-	seg  int   // index into Log.segments
-	off  int64 // offset of the value bytes
-	size int   // value length
+	seg  int    // index into Log.segments
+	off  int64  // offset of the value bytes
+	size int    // value length
+	sum  uint64 // the record's digest hash (recordSum)
 }
 
 // Log is the file-backed Store implementation.
@@ -311,9 +313,10 @@ func (l *Log) replayAll(names []string) error {
 			return err
 		}
 		last := i == len(names)-1
-		n, truncated, err := seg.replay(last, func(key string, loc valueLoc) {
+		n, truncated, err := seg.replay(last, func(key string, loc entryLoc) {
+			loc.seg = i
 			//studylint:ignore locksafe seg.replay invokes this callback synchronously on replayAll's own stack, so the caller-held mu is still held; the closure never escapes
-			l.indexPut(key, entryLoc{seg: i, off: loc.off, size: loc.size}, loc.payload)
+			l.indexPut(key, loc)
 		})
 		if err != nil {
 			seg.close()
@@ -334,37 +337,18 @@ func (l *Log) replayAll(names []string) error {
 }
 
 // indexPut records one live entry. A re-appended key replaces the old
-// location; the digest removes the superseded payload so it stays a
-// digest of the live entry set.
+// location, and the digest swaps the superseded record's hash for the
+// new one, so it stays a digest of the live entry set.
 // guarded by mu
-func (l *Log) indexPut(key string, loc entryLoc, payload string) {
-	if _, exists := l.index[key]; exists {
+func (l *Log) indexPut(key string, loc entryLoc) {
+	if old, exists := l.index[key]; exists {
 		// Duplicate keys cannot happen in normal operation (a visit is
-		// appended once), but replay tolerates them: last write wins and
-		// the digest counts each live entry once... MultisetHash has no
-		// removal, so rebuild marks the digest dirty instead.
-		l.rebuildDigestExcluding(key, payload)
-	} else {
-		l.digest.Add(payload)
+		// appended once), but replay tolerates them: last write wins.
+		l.digest.RemoveHash(old.sum)
 	}
+	l.digest.AddHash(loc.sum)
 	l.index[key] = loc
 	l.keysDirty = true
-}
-
-// rebuildDigestExcluding recomputes the digest with key's payload
-// replaced by the new one. Slow path; only duplicate keys reach it.
-// guarded by mu
-func (l *Log) rebuildDigestExcluding(key, newPayload string) {
-	// The multiset sum is wrapping addition, so replacing one element is
-	// subtract-old, add-new. We do not retain old payloads, so re-read it.
-	old, ok, err := l.getLocked(key)
-	if err != nil || !ok {
-		l.digest.Add(newPayload)
-		return
-	}
-	k, _ := DecodeKey(key)
-	l.digest.Remove(k.Encode() + keySep + string(old))
-	l.digest.Add(newPayload)
 }
 
 // Append implements Store.
@@ -382,15 +366,17 @@ func (l *Log) Append(k Key, value []byte) error {
 		return l.fireKill(k, value)
 	}
 	seg := l.active()
-	loc, payload, err := seg.append(k.Encode(), value)
+	key := k.Encode()
+	loc, err := seg.append(key, value)
 	if err != nil {
 		l.met.writeErrs.Inc()
 		l.poisoned = err
 		return err
 	}
-	l.indexPut(k.Encode(), entryLoc{seg: len(l.segments) - 1, off: loc.off, size: loc.size}, payload)
+	loc.seg = len(l.segments) - 1
+	l.indexPut(key, loc)
 	l.met.appendN.Inc()
-	l.met.appendBytes.Add(uint64(len(payload)))
+	l.met.appendBytes.Add(uint64(len(key) + len(keySep) + len(value)))
 	l.unsynced++
 	if l.unsynced >= l.opts.SyncEvery {
 		if err := l.syncLocked(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pornweb/internal/obs"
@@ -214,6 +215,44 @@ func TestTornTailTruncated(t *testing.T) {
 	defer rr.Close()
 	if got := rr.Len(); got != 6 {
 		t.Fatalf("second replay %d entries, want 6", got)
+	}
+}
+
+// TestReplayBoundsCorruptLength pins that a torn tail whose length
+// field claims far more than the file holds is truncated without
+// allocating what it claims.
+func TestReplayBoundsCorruptLength(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, testOpts())
+	if err := l.Append(k("s", "a"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "seg-000001.wal"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A record header claiming 512 MiB, followed by a few bytes.
+	if _, err := f.Write([]byte{0x20, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts := testOpts()
+	opts.Resume = true
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := mustOpen(t, dir, opts)
+	runtime.ReadMemStats(&after)
+	defer r.Close()
+	if got := r.Len(); got != 1 {
+		t.Fatalf("replayed %d entries, want 1", got)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("replaying a corrupt 512 MiB length allocated %d MiB", grew>>20)
 	}
 }
 
