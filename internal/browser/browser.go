@@ -52,9 +52,12 @@ type Browser struct {
 	// Env is the ambient state scripts can observe.
 	Env jsvm.Env
 
-	// Stage and Corpus label the pipeline stage and corpus this browser is
-	// crawling for; Rank resolves a site's toplist rank. All three are
-	// optional flight-recorder enrichments set by the study layer.
+	// Flight, when non-nil, is the per-visit flight recorder each visit
+	// emits one wide event into; a nil recorder keeps the whole path
+	// allocation-free. Stage and Corpus label the pipeline stage and
+	// corpus this browser is crawling for; Rank resolves a site's toplist
+	// rank. All four are optional and set by the study layer.
+	Flight *obs.FlightRecorder
 	Stage  string
 	Corpus string
 	Rank   func(host string) int
@@ -175,7 +178,7 @@ func (b *Browser) Visit(ctx context.Context, host string) *PageVisit {
 		span.End()
 		// Gate all event-field gathering on an enabled recorder so the
 		// disabled path stays allocation-free per visit.
-		if b.Session.Flight().Enabled() {
+		if b.Flight.Enabled() {
 			b.emitFlight(pv.SiteHost, pv.OK, pv.FailClass, false, time.Since(start), span.ID())
 		}
 	}()
@@ -311,7 +314,7 @@ func (b *Browser) emitFlight(site string, ok bool, failClass string, interactive
 	if b.Rank != nil {
 		ev.Rank = b.Rank(site)
 	}
-	b.Session.Flight().RecordVisit(ev)
+	b.Flight.RecordVisit(ev)
 }
 
 // InteractiveVisit is the Selenium-analog crawl of one site: detect the
@@ -355,7 +358,7 @@ func (b *Browser) VisitInteractive(ctx context.Context, host string) *Interactiv
 	}
 	defer func() {
 		span.End()
-		if b.Session.Flight().Enabled() {
+		if b.Flight.Enabled() {
 			b.emitFlight(iv.SiteHost, iv.OK, iv.FailClass, true, time.Since(start), span.ID())
 		}
 	}()

@@ -10,7 +10,7 @@ import (
 	"pornweb/internal/webgen"
 )
 
-// flightBrowser builds a browser whose session feeds the given recorder.
+// flightBrowser builds a browser that feeds the given recorder.
 func (f *fixture) flightBrowser(t *testing.T, fr *obs.FlightRecorder) *Browser {
 	t.Helper()
 	sess, err := crawler.NewSession(crawler.Config{
@@ -19,13 +19,35 @@ func (f *fixture) flightBrowser(t *testing.T, fr *obs.FlightRecorder) *Browser {
 		Country:     "ES",
 		Phase:       "crawl",
 		Timeout:     5 * time.Second,
-		Flight:      fr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sess.Close)
-	return New(sess)
+	b := New(sess)
+	b.Flight = fr
+	return b
+}
+
+// TestVisitWithoutFlightRecorder pins the disabled wiring: a browser
+// carries no recorder unless one is set, and visits through its nil
+// (disabled) recorder work and record nothing.
+func TestVisitWithoutFlightRecorder(t *testing.T) {
+	f := setup(t)
+	b := f.flightBrowser(t, nil)
+	if b.Flight != nil || b.Flight.Enabled() {
+		t.Fatal("browser without a flight recorder has an enabled one")
+	}
+	site := pick(t, f.eco, func(s *webgen.Site) bool { return !s.Flaky && !s.Unresponsive })
+	if pv := b.Visit(context.Background(), site.Host); !pv.OK {
+		t.Fatalf("visit without a flight recorder failed: %s", pv.Err)
+	}
+	if iv := b.VisitInteractive(context.Background(), site.Host); !iv.OK {
+		t.Fatalf("interactive visit without a flight recorder failed: %s", iv.Err)
+	}
+	if evs := b.Flight.Events(); len(evs) != 0 {
+		t.Errorf("nil recorder holds %d events", len(evs))
+	}
 }
 
 // TestVisitEmitsFlightEvent pins the wide-event contract: one event per

@@ -50,8 +50,8 @@ type CrawlResult struct {
 }
 
 // Crawl performs the instrumented (OpenWPM-analog) crawl of the given
-// hosts from a country. One browser session is shared across all visits,
-// as in the paper, so cookie state persists between sites.
+// hosts from a country. One browser session serves every visit, and
+// each visited site starts from its own cookie jar.
 func (st *Study) Crawl(ctx context.Context, hosts []string, country string) (*CrawlResult, error) {
 	return st.CrawlStage(ctx, hosts, country, "", "")
 }
@@ -133,6 +133,7 @@ func (st *Study) stageBrowser(s crawlStage) (*crawler.Session, *browser.Browser,
 		return nil, nil, err
 	}
 	b := browser.New(sess)
+	b.Flight = st.Flight
 	b.Stage = s.name
 	b.Corpus = s.corpus
 	b.Rank = st.Rank.BaseRank

@@ -101,6 +101,12 @@ func TestMetricsValues(t *testing.T) {
 		}
 	}
 
+	// Every crawl-stage visit emits a flight event through the stage's
+	// browser; the ES porn crawl alone visits the whole porn corpus.
+	if seen, _, _ := st.Flight.Stats(); seen < uint64(len(res.Corpus.Porn)) {
+		t.Errorf("flight recorder saw %d visits < porn corpus %d", seen, len(res.Corpus.Porn))
+	}
+
 	// HTTPS-downgrade counter must agree with the planted ground truth:
 	// HTTP-only porn sites force the crawler's HTTPS-then-HTTP probing.
 	httpOnly := 0

@@ -48,14 +48,13 @@ func (st *Study) persistVisit(k store.Key, raw []byte, err error) {
 }
 
 // durableEntry visits one host with the stage's crawler and returns
-// the visit in its durable form: the outcome, the request records the
-// session attributed to the site and its terminal failures by class.
-// Seq, the session-wide log position, depends on how concurrent visits
-// interleaved, so it is renumbered to the record's position within the
-// visit (1-based): the stored bytes are a pure function of (seed,
-// config, site), and the intra-visit order the cookie-sync analysis
-// relies on is kept. Live visits, the store and RunShard all build
-// through here, so a shard entry is the store record by construction.
+// the visit in its durable form: the outcome, plus the request records
+// and terminal failures the session hands over for the site. TakeVisit
+// numbers Seq within the visit, so the stored bytes are a pure function
+// of (seed, config, site) and keep the intra-visit order the
+// cookie-sync analysis relies on. Live visits, the store and RunShard
+// all build through here, so a shard entry is the store record by
+// construction.
 func (s crawlStage) durableEntry(ctx context.Context, b *browser.Browser, host string) *visitEntry {
 	e := &visitEntry{}
 	if s.interactive {
@@ -63,11 +62,7 @@ func (s crawlStage) durableEntry(ctx context.Context, b *browser.Browser, host s
 	} else {
 		e.Page = b.Visit(ctx, host)
 	}
-	e.Records = b.Session.SiteRecords(host)
-	for i := range e.Records {
-		e.Records[i].Seq = i + 1
-	}
-	e.Failures = b.Session.SiteFailureCounts(host)
+	e.Records, e.Failures = b.Session.TakeVisit(host)
 	return e
 }
 

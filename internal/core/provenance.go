@@ -13,22 +13,18 @@ import (
 	"pornweb/internal/webgen"
 )
 
-// crawlLogDigest digests a crawl session's request log with an
-// order-independent multiset hash. Two normalizations make the digest a
-// pure function of (seed, corpus, vantage) rather than of scheduling:
-//
-//   - Seq is zeroed: it encodes log position, which legitimately differs
-//     between serial and concurrent schedules.
-//   - SetCookies is digested as a separate deduplicated set instead of
-//     in-place: the session's shared cookie jar makes cookie *placement*
-//     timing-dependent — a tracker embedded on many sites sets its
-//     cookies on whichever concurrent visit reaches it first, so which
-//     record carries the Set-Cookie headers varies run to run while the
-//     set of cookies observed does not.
+// crawlLogDigest digests a crawl stage's request log with an
+// order-independent multiset hash, each record's JSON hashed in place.
+// Two normalizations apply: Seq is zeroed, and SetCookies is digested
+// as a separate deduplicated set of "set-cookie:"-prefixed cookies
+// instead of in place. Neither is needed for determinism (foldStage
+// numbers Seq in host order, and each visit has its own cookie jar);
+// both stay because dropping either would change every crawl-stage
+// digest in the golden manifest.
 //
 // The digest still covers every cookie name, value, host and session
-// flag, so a changed cookie changes the digest; only where in the log it
-// first appeared is forgotten.
+// flag, so a changed cookie changes the digest; only which record of
+// the log carried it is forgotten.
 func crawlLogDigest(log []crawler.Record) (int, string) {
 	var m provenance.MultisetHash
 	seenCookie := map[string]bool{}
@@ -42,7 +38,7 @@ func crawlLogDigest(log []crawler.Record) (int, string) {
 			// rather than dropping the record if that ever changes.
 			raw = []byte(r.URL)
 		}
-		m.Add(string(raw))
+		m.AddHash(provenance.NewHasher().AddBytes(raw).Sum64())
 		for _, c := range cs {
 			craw, err := json.Marshal(c)
 			if err != nil {
@@ -52,7 +48,7 @@ func crawlLogDigest(log []crawler.Record) (int, string) {
 				continue
 			}
 			seenCookie[string(craw)] = true
-			m.Add("set-cookie:" + string(craw))
+			m.AddHash(provenance.NewHasher().AddString("set-cookie:").AddBytes(craw).Sum64())
 		}
 	}
 	return len(log), m.Sum()

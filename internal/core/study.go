@@ -385,6 +385,5 @@ func (st *Study) session(country, phase string) (*crawler.Session, error) {
 		Metrics:     st.Metrics,
 		Retry:       st.Cfg.Resilience,
 		PageBudget:  st.Cfg.PageBudget,
-		Flight:      st.Flight,
 	})
 }

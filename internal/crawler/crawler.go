@@ -1,9 +1,10 @@
 // Package crawler implements the instrumented HTTP layer of the
-// OpenWPM-analog browser: a single long-lived session (the paper keeps one
-// browser session for the whole crawl so cookie synchronization is
-// observable) that records every request and response — URL, status,
-// referrer, initiator, redirect target, received cookies and the X.509
-// organization of TLS peers — into a thread-safe log the analyses consume.
+// OpenWPM-analog browser: a session that records every request and
+// response — URL, status, referrer, initiator, redirect target, received
+// cookies and the X.509 organization of TLS peers — with the visited site
+// it belongs to. The session keeps each site's records, terminal failures
+// and cookie jar together until the caller takes the finished visit
+// (TakeVisit), the per-site form the analyses consume.
 //
 // Top-level page fetches probe HTTPS first and downgrade to plain HTTP when
 // the TLS handshake fails, which is how the paper measures HTTPS support
@@ -23,6 +24,7 @@ import (
 	"net/http/cookiejar"
 	"net/url"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -123,11 +125,6 @@ type Config struct {
 	// and subresource), so retries can never blow the page deadline.
 	// Defaults to 4×Timeout when Retry is active, otherwise disabled.
 	PageBudget time.Duration
-	// Flight, when non-nil, is the per-visit flight recorder the browser
-	// layer emits wide events into. The session itself only carries it
-	// (and aggregates the per-site stats those events need); a nil
-	// recorder keeps the whole path allocation-free.
-	Flight *obs.FlightRecorder
 }
 
 func (c Config) withDefaults() Config {
@@ -159,14 +156,23 @@ type Session struct {
 	met    sessionMetrics
 	res    *resilience.Controller // nil without a retry policy
 
-	mu        sync.Mutex
-	log       []Record
-	seq       int
-	siteFails map[string]map[string]uint64 // site host ("" for none) -> failure class -> count
-	siteRecs  map[string][]int             // site host -> indices into log
+	mu sync.Mutex
+	// guarded by mu
+	seq int
+	// visits maps a site host ("" for requests attributed to none) to
+	// the state of its visit; TakeVisit removes an entry.
+	// guarded by mu
+	visits map[string]*visit
+}
 
-	jarsMu sync.Mutex
-	jars   map[string]*cookiejar.Jar // site host -> that visit's cookie jar
+// visit is the per-site state of a session: the cookie jar the site's
+// requests share, its records in request order and its terminal
+// failures by class (nil until one is counted). Its fields are guarded
+// by the owning Session's mu.
+type visit struct {
+	jar      *cookiejar.Jar
+	records  []Record
+	failures map[string]uint64
 }
 
 // VisitStats aggregates the request log of one visited site into the
@@ -267,12 +273,10 @@ func NewSession(cfg Config) (*Session, error) {
 		tr.TLSClientConfig = &tls.Config{RootCAs: cfg.RootCAs}
 	}
 	s := &Session{
-		cfg:       cfg,
-		met:       newSessionMetrics(cfg.Metrics, cfg.Country),
-		siteFails: map[string]map[string]uint64{},
-		siteRecs:  map[string][]int{},
-		jars:      map[string]*cookiejar.Jar{},
-		res:       resilience.NewController(cfg.Retry),
+		cfg:    cfg,
+		met:    newSessionMetrics(cfg.Metrics, cfg.Country),
+		visits: map[string]*visit{},
+		res:    resilience.NewController(cfg.Retry),
 	}
 	if s.res != nil && cfg.Metrics != nil {
 		reg := cfg.Metrics
@@ -306,50 +310,70 @@ func NewSession(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Close closes the session's pooled keep-alive connections; the request
-// log and the other snapshots stay readable. Whoever opens a session
-// closes it when its work ends, or the pool holds its connections'
-// goroutines and buffers, and their server ends, until process exit.
+// Close closes the session's pooled keep-alive connections; the visits
+// not yet taken stay readable. Whoever opens a session closes it when
+// its work ends, or the pool holds its connections' goroutines and
+// buffers, and their server ends, until process exit.
 func (s *Session) Close() { s.client.CloseIdleConnections() }
 
-// Log returns a snapshot of the request log.
+// Log returns a snapshot of the records of every visit not yet taken,
+// including requests attributed to no site, in the order they were
+// logged (by Seq).
 func (s *Session) Log() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Record, len(s.log))
-	copy(out, s.log)
+	n := 0
+	for _, v := range s.visits {
+		n += len(v.records)
+	}
+	out := make([]Record, 0, n)
+	for _, v := range s.visits {
+		out = append(out, v.records...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
-// CertOrgs returns the observed host -> certificate-organization
-// mappings, read off the logged records that carried one.
-func (s *Session) CertOrgs() map[string]string {
+// TakeVisit removes one site's visit from the session and hands over
+// its request records, renumbered 1..k in request order, and its
+// terminal failures by class (nil when it saw none). Seq is renumbered
+// because the session-wide position depends on how concurrent visits
+// interleaved; the position within the visit does not. Take a visit
+// once its page load has returned: a later request to the site starts
+// a new visit with a fresh cookie jar.
+func (s *Session) TakeVisit(site string) ([]Record, map[string]uint64) {
+	s.mu.Lock()
+	v := s.visits[site]
+	delete(s.visits, site)
+	s.mu.Unlock()
+	if v == nil {
+		return nil, nil
+	}
+	for i := range v.records {
+		v.records[i].Seq = i + 1
+	}
+	return v.records, v.failures
+}
+
+// visitFor returns the state of a site's visit, opening it with a fresh
+// cookie jar on first contact.
+//
+// guarded by mu
+func (s *Session) visitFor(site string) *visit {
+	v := s.visits[site]
+	if v == nil {
+		jar, _ := cookiejar.New(nil) // never fails with nil options
+		v = &visit{jar: jar}
+		s.visits[site] = v
+	}
+	return v
+}
+
+// jarFor returns the per-visit cookie jar for a site.
+func (s *Session) jarFor(siteHost string) *cookiejar.Jar {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := map[string]string{}
-	for _, r := range s.log {
-		if r.CertOrg != "" {
-			out[r.Host] = r.CertOrg
-		}
-	}
-	return out
-}
-
-// JarFor exposes the cookie jar of one visited site (for cookie-census
-// analyses), creating it if the site has not been contacted yet.
-func (s *Session) JarFor(siteHost string) *cookiejar.Jar { return s.jarFor(siteHost) }
-
-// jarFor returns the per-visit cookie jar for a site, minting a fresh one
-// on first contact.
-func (s *Session) jarFor(siteHost string) *cookiejar.Jar {
-	s.jarsMu.Lock()
-	defer s.jarsMu.Unlock()
-	j := s.jars[siteHost]
-	if j == nil {
-		j, _ = cookiejar.New(nil) // never fails with nil options
-		s.jars[siteHost] = j
-	}
-	return j
+	return s.visitFor(siteHost).jar
 }
 
 // Metrics exposes the session's registry (nil when uninstrumented) so the
@@ -363,23 +387,6 @@ func (s *Session) Country() string { return s.cfg.Country }
 // PageBudget returns the per-page deadline budget (0 when disabled).
 func (s *Session) PageBudget() time.Duration { return s.cfg.PageBudget }
 
-// Flight returns the session's flight recorder (nil when disabled).
-func (s *Session) Flight() *obs.FlightRecorder { return s.cfg.Flight }
-
-// FailureCounts snapshots terminal request failures by taxonomy class,
-// summed over every site (and the failures attributed to none).
-func (s *Session) FailureCounts() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := map[string]uint64{}
-	for _, m := range s.siteFails {
-		for class, n := range m {
-			out[class] += n
-		}
-	}
-	return out
-}
-
 // countFailure records one terminal request failure of the given
 // class, attributed to the visited site (so a resumed run can
 // reconstruct per-visit failure totals from the durable store).
@@ -389,43 +396,12 @@ func (s *Session) countFailure(class resilience.Class, siteHost string) {
 	}
 	s.met.failures[class].Inc()
 	s.mu.Lock()
-	m := s.siteFails[siteHost]
-	if m == nil {
-		m = map[string]uint64{}
-		s.siteFails[siteHost] = m
+	v := s.visitFor(siteHost)
+	if v.failures == nil {
+		v.failures = map[string]uint64{}
 	}
-	m[string(class)]++
+	v.failures[string(class)]++
 	s.mu.Unlock()
-}
-
-// SiteFailureCounts snapshots the terminal failures attributed to one
-// visited site, by taxonomy class (nil when the site saw none).
-func (s *Session) SiteFailureCounts(site string) map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	src := s.siteFails[site]
-	if len(src) == 0 {
-		return nil
-	}
-	out := make(map[string]uint64, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
-}
-
-// SiteRecords returns the request records attributed to one visited
-// site, in log order. Concurrent visits interleave in the session log;
-// this is the per-visit view the durable store persists.
-func (s *Session) SiteRecords(site string) []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := s.siteRecs[site]
-	out := make([]Record, len(idx))
-	for i, j := range idx {
-		out[i] = s.log[j]
-	}
-	return out
 }
 
 func (s *Session) record(r Record) {
@@ -439,20 +415,23 @@ func (s *Session) record(r Record) {
 	s.mu.Lock()
 	s.seq++
 	r.Seq = s.seq
-	s.log = append(s.log, r)
-	if r.SiteHost != "" {
-		s.siteRecs[r.SiteHost] = append(s.siteRecs[r.SiteHost], len(s.log)-1)
-	}
+	v := s.visitFor(r.SiteHost)
+	v.records = append(v.records, r)
 	s.mu.Unlock()
 }
 
-// VisitStats aggregates the logged request records of one visited site.
+// VisitStats aggregates the logged request records of one visited site
+// (the zero value once its visit is taken).
 func (s *Session) VisitStats(site string) VisitStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var st VisitStats
-	for _, i := range s.siteRecs[site] {
-		r := &s.log[i]
+	v := s.visits[site]
+	if v == nil {
+		return st
+	}
+	for i := range v.records {
+		r := &v.records[i]
 		st.Requests++
 		if r.Host != "" && r.Host != r.SiteHost {
 			st.ThirdParty++

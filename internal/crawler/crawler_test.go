@@ -189,9 +189,9 @@ func TestCertOrgCaptured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orgs := sess.CertOrgs()
-	if orgs["exosrv.com"] != "ExoClick S.L." {
-		t.Errorf("cert org = %q", orgs["exosrv.com"])
+	log := sess.Log()
+	if len(log) == 0 || log[0].Host != "exosrv.com" || log[0].CertOrg != "ExoClick S.L." {
+		t.Errorf("log = %+v, want exosrv.com with cert org ExoClick S.L.", log)
 	}
 }
 

@@ -119,7 +119,7 @@ func TestSingleShotLosesWhatRetriesWin(t *testing.T) {
 	if !errors.Is(err, resilience.ErrTruncated) {
 		t.Fatalf("error = %v, want wrapped ErrTruncated", err)
 	}
-	counts := sess.FailureCounts()
+	_, counts := sess.TakeVisit(host)
 	if counts[string(resilience.ClassTruncated)] == 0 {
 		t.Errorf("failure counts = %v, want truncated > 0", counts)
 	}
@@ -146,7 +146,7 @@ func TestRedirectLoopFailsFast(t *testing.T) {
 	if hops > 8 {
 		t.Errorf("burned %d hops on a 2-cycle; cycle detection should fail fast", hops)
 	}
-	if c := sess.FailureCounts()[string(resilience.ClassRedirectLoop)]; c == 0 {
+	if _, fails := sess.TakeVisit(host); fails[string(resilience.ClassRedirectLoop)] == 0 {
 		t.Error("redirect-loop failure not counted")
 	}
 }
@@ -220,7 +220,7 @@ func TestBreakerOpensOnDeadHost(t *testing.T) {
 			t.Fatalf("breaker-open fetch still hit the wire: %+v", r)
 		}
 	}
-	if c := sess.FailureCounts()[string(resilience.ClassBreakerOpen)]; c == 0 {
+	if _, fails := sess.TakeVisit(dead.Host); fails[string(resilience.ClassBreakerOpen)] == 0 {
 		t.Error("breaker-open failure not counted")
 	}
 	var sb strings.Builder
@@ -272,7 +272,7 @@ func TestGeo451ClassifiedNotRefused(t *testing.T) {
 	if res.Status != 451 {
 		t.Fatalf("status = %d, want 451", res.Status)
 	}
-	if c := sess2.FailureCounts()[string(resilience.ClassGeoBlocked)]; c == 0 {
+	if _, fails := sess2.TakeVisit(blocked.Host); fails[string(resilience.ClassGeoBlocked)] == 0 {
 		t.Error("geo-blocked failure not counted")
 	}
 }
