@@ -47,15 +47,16 @@ lintbudget:
 				if (mean > max) { print "lintbudget: over budget"; exit 1 } }'
 
 # fuzz gives each native fuzz target a short budget; failing inputs land
-# in testdata/fuzz/ and then fail `make test` forever after.
+# in testdata/fuzz/ and then fail `make test` forever after. The targets
+# come from the tracked test files, so a new Fuzz function runs here
+# without being listed.
 fuzz:
-	$(GO) test -run '^$$' -fuzz 'FuzzParse' -fuzztime $(FUZZTIME) ./internal/blocklist/
-	$(GO) test -run '^$$' -fuzz 'FuzzClassify' -fuzztime $(FUZZTIME) ./internal/domain/
-	$(GO) test -run '^$$' -fuzz 'FuzzSuppression' -fuzztime $(FUZZTIME) ./internal/lint/
-	$(GO) test -run '^$$' -fuzz 'FuzzSchemaParse' -fuzztime $(FUZZTIME) ./internal/lint/
-	$(GO) test -run '^$$' -fuzz 'FuzzParse' -fuzztime $(FUZZTIME) ./internal/profparse/
-	$(GO) test -run '^$$' -fuzz 'FuzzReplay' -fuzztime $(FUZZTIME) ./internal/store/
-	$(GO) test -run '^$$' -fuzz 'FuzzShardCodec' -fuzztime $(FUZZTIME) ./internal/shard/
+	@targets=$$(git grep -n '^func Fuzz' -- '*_test.go') || exit 1; \
+	echo "$$targets" | sed -E 's|^(([^:]*)/)?[^/:]*_test\.go:[0-9]+:func (Fuzz[A-Za-z0-9_]*)\(.*|./\2 \3|' | \
+	while read -r dir target; do \
+		echo "$(GO) test -run '^$$' -fuzz '^$$target$$' -fuzztime $(FUZZTIME) $$dir"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) "$$dir" || exit 1; \
+	done
 
 # lint runs studylint, the repo's first-party analyzer suite
 # (internal/lint): stdlib-only, no module downloads, so unlike

@@ -89,56 +89,6 @@ func (st *Study) configFingerprint() (string, error) {
 	})
 }
 
-// pipelineDeps is the static edge list of the study DAG — the same edges
-// buildPipeline declares, kept as data so the manifest can name every
-// stage's inputs and studydiff can walk divergences back to their origin.
-// The PipelineDependencies test pins this map against the live graph.
-func pipelineDeps(countries []string) map[string][]string {
-	deps := map[string][]string{
-		"corpus":                  nil,
-		"analysis/rank-stability": {"corpus"},
-		"crawl/porn-ES":           {"corpus"},
-		"crawl/reference-ES":      {"corpus"},
-		"crawl/porn-US":           {"corpus"},
-		"crawl/interactive-ES":    {"corpus"},
-		"analysis/third-parties":  {"crawl/porn-ES", "crawl/reference-ES"},
-		"analysis/organizations":  {"crawl/porn-ES", "crawl/reference-ES"},
-		"analysis/cookies":        {"crawl/porn-ES", "crawl/reference-ES"},
-		"analysis/cookie-sync":    {"crawl/porn-ES"},
-		"analysis/fingerprinting": {"crawl/porn-ES", "crawl/reference-ES"},
-		"analysis/https":          {"crawl/porn-ES"},
-		"analysis/malware":        {"crawl/porn-ES"},
-		"analysis/monetization":   {"crawl/porn-ES"},
-		"analysis/blocking":       {"crawl/porn-ES"},
-		"analysis/rta":            {"crawl/porn-ES"},
-		"analysis/chains":         {"crawl/porn-ES"},
-		"analysis/storage":        {"crawl/porn-ES"},
-		"analysis/banners":        {"crawl/porn-ES", "crawl/porn-US"},
-		"analysis/policies":       {"crawl/porn-ES", "crawl/interactive-ES"},
-		"analysis/owners":         {"crawl/porn-ES", "crawl/interactive-ES"},
-		"analysis/validation":     {"analysis/owners"},
-		"analysis/robustness":     {"analysis/geo"},
-	}
-	ageDeps := make([]string, 0, len(AgeVantages()))
-	for _, c := range AgeVantages() {
-		name := "crawl/age-" + c
-		deps[name] = []string{"corpus"}
-		ageDeps = append(ageDeps, name)
-	}
-	deps["analysis/age-verification"] = ageDeps
-	geoDeps := []string{"crawl/porn-ES", "crawl/porn-US", "crawl/reference-ES"}
-	for _, c := range countries {
-		if c == "ES" || c == "US" {
-			continue
-		}
-		name := "crawl/geo-" + c
-		deps[name] = []string{"corpus"}
-		geoDeps = append(geoDeps, name)
-	}
-	deps["analysis/geo"] = geoDeps
-	return deps
-}
-
 // figSpec maps one manifest figure to the analysis stage that produced it
 // and the Results content it renders.
 type figSpec struct {
@@ -297,10 +247,13 @@ func (st *Study) BuildManifest(res *Results) (*provenance.Manifest, error) {
 		m.Stages[stage] = info
 	}
 
-	deps := pipelineDeps(st.Cfg.Countries)
+	// The scheduler graph is the pipeline's one declaration of its
+	// shape; the manifest publishes its edges so studydiff can walk a
+	// divergence back to its origin.
+	deps := st.buildPipeline(newPipeState()).Dependencies()
 	for name, info := range m.Stages {
-		if inputs, ok := deps[name]; ok && len(inputs) > 0 {
-			info.Inputs = append([]string(nil), inputs...)
+		if inputs := deps[name]; len(inputs) > 0 {
+			info.Inputs = inputs
 			sort.Strings(info.Inputs)
 			m.Stages[name] = info
 		}

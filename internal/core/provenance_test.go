@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -153,7 +152,8 @@ func TestManifestContents(t *testing.T) {
 			t.Errorf("corpus %s missing or empty: %+v", c, ci)
 		}
 	}
-	for name := range pipelineDeps(cfg.Countries) {
+	st := &Study{Cfg: cfg}
+	for name := range st.buildPipeline(newPipeState()).Dependencies() {
 		info, ok := m.Stages[name]
 		if !ok {
 			t.Errorf("stage %s missing from manifest", name)
@@ -176,39 +176,6 @@ func TestManifestContents(t *testing.T) {
 		}
 		if _, ok := m.Stages[fi.Stages[0]]; !ok {
 			t.Errorf("figure %s references unknown stage %s", name, fi.Stages[0])
-		}
-	}
-}
-
-// TestPipelineDependencies pins the static DAG the manifest publishes
-// against the live graph buildPipeline schedules: if a stage or edge is
-// added to one and not the other, the diff gate would walk a stale DAG.
-func TestPipelineDependencies(t *testing.T) {
-	countries := []string{"ES", "US", "RU", "IN"}
-	st := &Study{Cfg: Config{Countries: countries}}
-	g := st.buildPipeline(newPipeState())
-
-	got := g.Dependencies()
-	want := pipelineDeps(countries)
-	if len(got) != len(want) {
-		t.Errorf("graph has %d stages, static map %d", len(got), len(want))
-	}
-	for name, deps := range want {
-		gdeps, ok := got[name]
-		if !ok {
-			t.Errorf("stage %s in pipelineDeps but not in graph", name)
-			continue
-		}
-		sort.Strings(gdeps)
-		sorted := append([]string(nil), deps...)
-		sort.Strings(sorted)
-		if !reflect.DeepEqual(gdeps, sorted) && (len(gdeps) != 0 || len(sorted) != 0) {
-			t.Errorf("stage %s deps: graph %v, static %v", name, gdeps, sorted)
-		}
-	}
-	for name := range got {
-		if _, ok := want[name]; !ok {
-			t.Errorf("stage %s in graph but not in pipelineDeps", name)
 		}
 	}
 }

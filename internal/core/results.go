@@ -167,8 +167,8 @@ func (st *Study) runScheduled(ctx context.Context) (*Results, error) {
 }
 
 // buildPipeline declares the full study DAG over the given state. It is
-// the single source of truth for the scheduled pipeline's shape; the
-// PipelineDependencies test pins its edges against the documented DAG.
+// the pipeline's one declaration of its shape: Run schedules it, and
+// BuildManifest publishes its edges as each stage's inputs.
 func (st *Study) buildPipeline(ps *pipeState) *sched.Graph {
 	res := ps.res
 	addCrawl := func(country string, cr *CrawlResult) {

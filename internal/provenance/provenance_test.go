@@ -90,12 +90,11 @@ func TestHasherMatchesHashString(t *testing.T) {
 func TestRecorder(t *testing.T) {
 	r := NewRecorder()
 	r.RecordStage("crawl/porn-ES", 120, "aaaa")
-	r.SetInputs("crawl/porn-ES", []string{"corpus"})
 	r.RecordStage("corpus", 50, "bbbb")
 	r.RecordTiming("corpus", 30*time.Millisecond)
 
 	stages := r.Stages()
-	if got := stages["crawl/porn-ES"]; got.Records != 120 || got.Digest != "aaaa" || len(got.Inputs) != 1 || got.Inputs[0] != "corpus" {
+	if got := stages["crawl/porn-ES"]; got.Records != 120 || got.Digest != "aaaa" {
 		t.Fatalf("stage record wrong: %+v", got)
 	}
 	if d := r.Timings()["corpus"]; d != 30*time.Millisecond {
@@ -115,7 +114,6 @@ func TestRecorder(t *testing.T) {
 
 	var nilR *Recorder
 	nilR.RecordStage("x", 1, "d")
-	nilR.SetInputs("x", nil)
 	nilR.RecordTiming("x", time.Second)
 	nilR.Reset()
 	if nilR.Stages() != nil || nilR.Timings() != nil {

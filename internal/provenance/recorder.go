@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -46,20 +45,6 @@ func (r *Recorder) RecordStage(name string, records int, digest string) {
 	info := r.stages[name]
 	info.Records = records
 	info.Digest = digest
-	r.stages[name] = info
-	r.mu.Unlock()
-}
-
-// SetInputs declares the stages name consumed.
-func (r *Recorder) SetInputs(name string, inputs []string) {
-	if r == nil {
-		return
-	}
-	sorted := append([]string(nil), inputs...)
-	sort.Strings(sorted)
-	r.mu.Lock()
-	info := r.stages[name]
-	info.Inputs = sorted
 	r.stages[name] = info
 	r.mu.Unlock()
 }

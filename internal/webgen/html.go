@@ -354,6 +354,7 @@ func renderContent(s *Site, rng *rand.Rand) string {
 // RenderPolicyPage wraps the generated policy text in HTML.
 func RenderPolicyPage(s *Site) string {
 	var b strings.Builder
+	b.Grow(len(s.PolicyText) + len(s.Host) + 256)
 	b.WriteString("<!DOCTYPE html>\n<html><head><title>Privacy Policy — " + s.Host + "</title></head>\n<body>\n")
 	b.WriteString("<article id=\"policy\">\n")
 	for _, para := range strings.Split(s.PolicyText, "\n\n") {
@@ -361,7 +362,9 @@ func RenderPolicyPage(s *Site) string {
 		if para == "" {
 			continue
 		}
-		b.WriteString("<p>" + para + "</p>\n")
+		b.WriteString("<p>")
+		b.WriteString(para)
+		b.WriteString("</p>\n")
 	}
 	b.WriteString("</article>\n</body></html>\n")
 	return b.String()

@@ -2,6 +2,7 @@ package webgen
 
 import (
 	"fmt"
+	"hash/fnv"
 	"net/url"
 	"strings"
 	"testing"
@@ -603,4 +604,23 @@ func TestRegularKeywordFalsePositiveContent(t *testing.T) {
 		return
 	}
 	t.Skip("no keyword FP at this scale")
+}
+
+// policyBytesDigest pins every site's policy text and rendered policy
+// page for Generate(Params{Seed: 2019, Scale: 0.01}). A change to policy
+// generation or to RenderPolicyPage's markup moves it; a change that only
+// alters how the bytes are built must not.
+const policyBytesDigest = 0x1271a1ca786b6766
+
+func TestPolicyBytesDigest(t *testing.T) {
+	e := Generate(Params{Seed: 2019, Scale: 0.01})
+	h := fnv.New64a()
+	for _, s := range e.AllSites() {
+		fmt.Fprintf(h, "%s\x00%d:%s\x00", s.Host, len(s.PolicyText), s.PolicyText)
+		page := RenderPolicyPage(s)
+		fmt.Fprintf(h, "%d:%s\x00", len(page), page)
+	}
+	if got := h.Sum64(); got != policyBytesDigest {
+		t.Errorf("policy bytes digest = %#x, want %#x", got, uint64(policyBytesDigest))
+	}
 }
