@@ -106,21 +106,33 @@ determinism:
 # run. studydiff checks semantic identity and cmp the exact bytes.
 # Runs fault-free: the injector's burst counters live in the server
 # process, so only deterministic runs can promise byte equality.
+# At scale 0.004, seed 2019 the store holds 50 sanitisation verdicts,
+# then 490 crawl visits, then 146 TLS probes, in that order when one
+# stage runs at a time. The kill at append 25 lands among the verdicts;
+# the two killed with -stage-workers 1 land mid-crawl (295) and
+# mid-probe (613).
+CRASH_KILLS = 25 295:-stage-workers=1 613:-stage-workers=1
+
 crashsafety:
 	rm -rf .crashgate
 	mkdir -p .crashgate
 	$(GO) build -o .crashgate/pornstudy ./cmd/pornstudy
 	.crashgate/pornstudy -scale 0.004 -seed 2019 -store .crashgate/store-a -provenance .crashgate/a >/dev/null
-	@.crashgate/pornstudy -scale 0.004 -seed 2019 -store .crashgate/store-b \
-		-kill-after-appends 25 -kill-torn >/dev/null 2>&1; \
-	status=$$?; \
-	if [ $$status -ne 137 ]; then \
-		echo "crashsafety: killed run exited $$status, want 137" >&2; exit 1; \
-	fi; \
-	echo "crashsafety: run killed at append 25 (exit 137), resuming"
-	.crashgate/pornstudy -scale 0.004 -seed 2019 -store .crashgate/store-b -resume -provenance .crashgate/b >/dev/null
-	$(GO) run ./cmd/studydiff .crashgate/a .crashgate/b
-	cmp .crashgate/a/manifest.json .crashgate/b/manifest.json
+	@for kill in $(CRASH_KILLS); do \
+		n=$${kill%%:*}; extra=; \
+		case $$kill in *:*) extra=$${kill#*:};; esac; \
+		.crashgate/pornstudy -scale 0.004 -seed 2019 -store .crashgate/store-$$n $$extra \
+			-kill-after-appends $$n -kill-torn >/dev/null 2>&1; \
+		status=$$?; \
+		if [ $$status -ne 137 ]; then \
+			echo "crashsafety: run killed at append $$n exited $$status, want 137" >&2; exit 1; \
+		fi; \
+		echo "crashsafety: run killed at append $$n (exit 137), resuming"; \
+		.crashgate/pornstudy -scale 0.004 -seed 2019 -store .crashgate/store-$$n -resume \
+			-provenance .crashgate/b-$$n >/dev/null || exit 1; \
+		$(GO) run ./cmd/studydiff .crashgate/a .crashgate/b-$$n || exit 1; \
+		cmp .crashgate/a/manifest.json .crashgate/b-$$n/manifest.json || exit 1; \
+	done
 	rm -rf .crashgate
 
 # shardci proves shard equivalence end to end with real process

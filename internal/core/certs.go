@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/tls"
 	"sync"
+
+	"pornweb/internal/store"
 )
 
 // ProbeTLS reports which of the hosts complete a TLS handshake — the
@@ -14,7 +16,7 @@ func (st *Study) ProbeTLS(ctx context.Context, hosts []string) map[string]bool {
 	out := make(map[string]bool, len(hosts))
 	var mu sync.Mutex
 	st.forEach(ctx, len(hosts), func(i int) {
-		if st.probeHost(ctx, hosts[i]).ok {
+		if st.probeHost(ctx, hosts[i]).OK {
 			mu.Lock()
 			out[hosts[i]] = true
 			mu.Unlock()
@@ -33,7 +35,7 @@ func (st *Study) ProbeCertOrgs(ctx context.Context, hosts []string) map[string]s
 	out := make(map[string]string, len(hosts))
 	var mu sync.Mutex
 	st.forEach(ctx, len(hosts), func(i int) {
-		if org := st.probeHost(ctx, hosts[i]).org; org != "" {
+		if org := st.probeHost(ctx, hosts[i]).Org; org != "" {
 			mu.Lock()
 			out[hosts[i]] = org
 			mu.Unlock()
@@ -42,11 +44,15 @@ func (st *Study) ProbeCertOrgs(ctx context.Context, hosts []string) map[string]s
 	return out
 }
 
-// tlsProbe is what one TLS handshake with a host showed.
+// tlsProbe is what one TLS handshake with a host showed; it is also
+// the probe's durable store entry.
 type tlsProbe struct {
-	ok  bool   // the handshake completed
-	org string // first organization of the leaf certificate, "" if none
+	OK  bool   `json:"ok,omitempty"`  // the handshake completed
+	Org string `json:"org,omitempty"` // first organization of the leaf certificate, "" if none
 }
+
+// probeKey is the store key of a host's durable TLS probe outcome.
+func probeKey(host string) store.Key { return store.Key{Stage: "probe/tls", Site: host} }
 
 // hostProbe is one host's probe, shared by every caller.
 type hostProbe struct {
@@ -56,9 +62,12 @@ type hostProbe struct {
 
 // probeHost returns the host's TLS probe, dialling it at most once per
 // study: ProbeTLS and ProbeCertOrgs, which may run in concurrent
-// stages, share the handshake. The handshake does not stop when the
-// caller that started it gives up, since every later caller reads its
-// answer; the server's 10 s handshake timeout bounds it.
+// stages, share the handshake, and a store-backed study persists its
+// outcome under "probe/tls", so a resumed run replays it instead of
+// dialling. The handshake does not stop when the caller that started
+// it gives up, since every later caller reads its answer; the server's
+// 10 s handshake timeout bounds it. A failed handshake is a measured
+// outcome like a completed one.
 func (st *Study) probeHost(ctx context.Context, host string) tlsProbe {
 	st.probeMu.Lock()
 	p := st.probes[host]
@@ -67,7 +76,11 @@ func (st *Study) probeHost(ctx context.Context, host string) tlsProbe {
 		st.probes[host] = p
 	}
 	st.probeMu.Unlock()
-	p.once.Do(func() { p.res = st.handshake(context.WithoutCancel(ctx), host) })
+	p.once.Do(func() {
+		p.res = durableMeasure(st, probeKey(host), func() (tlsProbe, bool) {
+			return st.handshake(context.WithoutCancel(ctx), host), true
+		})
+	})
 	return p.res
 }
 
@@ -83,10 +96,10 @@ func (st *Study) handshake(ctx context.Context, host string) tlsProbe {
 	if err := conn.HandshakeContext(ctx); err != nil {
 		return tlsProbe{}
 	}
-	res := tlsProbe{ok: true}
+	res := tlsProbe{OK: true}
 	if certs := conn.ConnectionState().PeerCertificates; len(certs) > 0 {
 		if orgs := certs[0].Subject.Organization; len(orgs) > 0 {
-			res.org = orgs[0]
+			res.Org = orgs[0]
 		}
 	}
 	return res

@@ -5,9 +5,11 @@ import (
 	"sort"
 	"sync"
 
+	"pornweb/internal/crawler"
 	"pornweb/internal/htmlx"
 	"pornweb/internal/lingo"
 	"pornweb/internal/ranking"
+	"pornweb/internal/store"
 	"pornweb/internal/webgen"
 )
 
@@ -64,31 +66,20 @@ func (st *Study) CompileCorpus(ctx context.Context) (*Corpus, error) {
 		return nil, err
 	}
 	defer sess.Close()
-	type verdict struct {
-		host string
-		ok   bool
-		porn bool
-	}
-	verdicts := make([]verdict, len(hosts))
+	verdicts := make([]sanitizeVerdict, len(hosts))
 	st.forEach(ctx, len(hosts), func(i int) {
-		host := hosts[i]
-		res, _, err := sess.FetchPage(ctx, host, "/")
-		if err != nil {
-			verdicts[i] = verdict{host: host}
-			return
-		}
-		doc := htmlx.Parse(res.Body)
-		_, isPorn := lingo.ContainsAny(doc.InnerText(), lingo.AdultContentWords)
-		verdicts[i] = verdict{host: host, ok: true, porn: isPorn}
+		verdicts[i] = durableMeasure(st, sanitizeKey(hosts[i]), func() (sanitizeVerdict, bool) {
+			return sanitize(ctx, sess, hosts[i])
+		})
 	})
-	for _, v := range verdicts {
+	for i, v := range verdicts {
 		switch {
-		case !v.ok:
+		case !v.OK:
 			c.Unresponsive++
-		case !v.porn:
+		case !v.Porn:
 			c.NonPorn++
 		default:
-			c.Porn = append(c.Porn, v.host)
+			c.Porn = append(c.Porn, hosts[i])
 		}
 	}
 	sort.Strings(c.Porn)
@@ -110,6 +101,32 @@ func (st *Study) CompileCorpus(ctx context.Context) (*Corpus, error) {
 	}
 	sort.Strings(c.Reference)
 	return c, nil
+}
+
+// sanitizeVerdict is what the sanitisation fetch of one candidate
+// showed; it is also the candidate's durable store entry.
+type sanitizeVerdict struct {
+	OK   bool `json:"ok,omitempty"`   // the landing page answered
+	Porn bool `json:"porn,omitempty"` // its text carries adult-content markers
+}
+
+// sanitizeKey is the store key of a candidate's durable verdict.
+func sanitizeKey(host string) store.Key {
+	return store.Key{Stage: "corpus", Corpus: "candidates", Vantage: "ES", Site: host}
+}
+
+// sanitize fetches a candidate's landing page and inspects its text. A
+// failed fetch is a measured outcome (the candidate is unresponsive)
+// unless it failed because ctx, the run's own context, was cancelled;
+// the second result reports which.
+func sanitize(ctx context.Context, sess *crawler.Session, host string) (sanitizeVerdict, bool) {
+	res, _, err := sess.FetchPage(ctx, host, "/")
+	if err != nil {
+		return sanitizeVerdict{}, ctx.Err() == nil
+	}
+	doc := htmlx.Parse(res.Body)
+	_, isPorn := lingo.ContainsAny(doc.InnerText(), lingo.AdultContentWords)
+	return sanitizeVerdict{OK: true, Porn: isPorn}, true
 }
 
 // forEach runs fn(i) for i in [0,n) on the study's worker pool. A

@@ -181,7 +181,7 @@ func (st *Study) runCrawlStage(ctx context.Context, s crawlStage, hosts []string
 		e := s.durableEntry(ctx, b, h)
 		if st.store != nil && s.name != "" {
 			raw, err := json.Marshal(e)
-			st.persistVisit(s.key(h), raw, err)
+			st.persistEntry(s.key(h), raw, err)
 		}
 		mu.Lock()
 		entries[h] = e

@@ -19,7 +19,9 @@ import (
 // its terminal request failures by class. One entry is one store
 // record under (stage, corpus, vantage, site) and one shard wire entry;
 // every crawl stage, whether visited live, replayed from the store or
-// merged from shards, is folded from these entries (foldStage).
+// merged from shards, is folded from these entries (foldStage). The
+// store also holds the study's measurements outside the crawl stages,
+// each under its own key space (durableMeasure).
 type visitEntry struct {
 	Page        *browser.PageVisit        `json:"page,omitempty"`
 	Interactive *browser.InteractiveVisit `json:"interactive,omitempty"`
@@ -27,24 +29,54 @@ type visitEntry struct {
 	Failures    map[string]uint64         `json:"failures,omitempty"`
 }
 
-// persistVisit streams one visit's serialized entry into the durable
-// store; err is the serialization error, if any. A failure to
-// serialize or write is an availability problem, not a measurement:
-// it is logged, counted (store_write_errors_total plus the crawl
-// failure taxonomy's store-write class) and the crawl continues — the
-// entry is simply not resumable. It must never leak into
-// manifest-digested counters, or a disk hiccup would change the
-// study's results.
-func (st *Study) persistVisit(k store.Key, raw []byte, err error) {
+// persistEntry streams one serialized entry into the durable store;
+// err is the serialization error, if any. A failure to serialize or
+// write is an availability problem, not a measurement: it is logged,
+// counted (study_store_visit_errors_total plus the crawl failure
+// taxonomy's store-write class) and the study continues — the entry is
+// simply not resumable. It must never leak into manifest-digested
+// counters, or a disk hiccup would change the study's results.
+func (st *Study) persistEntry(k store.Key, raw []byte, err error) {
 	if err == nil {
 		err = st.store.Append(k, raw)
 	}
 	if err != nil {
 		st.storeErrs.Inc()
-		st.Log.Event(obs.LevelWarn, "store append failed; visit not resumable",
+		st.Log.Event(obs.LevelWarn, "store append failed; entry not resumable",
 			"class", string(resilience.ClassStoreWrite),
 			"stage", k.Stage, "site", k.Site, "err", err.Error())
 	}
+}
+
+// durableMeasure returns the result a previous run persisted under k,
+// or runs measure live, persists its result and returns it. It makes
+// the study's live measurements outside the crawl stages (TLS probes,
+// sanitisation verdicts) durable like the visits: written once,
+// replayed on resume, so a resumed run's analyses read the answers the
+// interrupted run measured. measure reports whether its result is a
+// measurement; a failure is one, but a result cut short by the run's
+// own cancellation is not and is returned without being persisted. An
+// unreadable entry is measured again. With no store it measures live.
+func durableMeasure[T any](st *Study, k store.Key, measure func() (T, bool)) T {
+	if st.store == nil {
+		v, _ := measure()
+		return v
+	}
+	if raw, ok, err := st.store.Get(k); err == nil && ok {
+		var v T
+		err := json.Unmarshal(raw, &v)
+		if err == nil {
+			return v
+		}
+		st.Log.Event(obs.LevelWarn, "durable measurement unreadable; measuring again",
+			"stage", k.Stage, "site", k.Site, "err", err.Error())
+	}
+	v, keep := measure()
+	if keep {
+		raw, err := json.Marshal(v)
+		st.persistEntry(k, raw, err)
+	}
+	return v
 }
 
 // durableEntry visits one host with the stage's crawler and returns

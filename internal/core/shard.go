@@ -118,7 +118,7 @@ func (st *Study) foldShardEntries(s crawlStage, hosts []string, raw map[string][
 		}
 		entries[h] = e
 		if st.store != nil {
-			st.persistVisit(s.key(h), b, nil)
+			st.persistEntry(s.key(h), b, nil)
 		}
 	}
 	return nil

@@ -267,7 +267,7 @@ func NewStudy(cfg Config) (*Study, error) {
 			return nil, fmt.Errorf("core: open visit store: %w", err)
 		}
 		st.store = vs
-		reg.Describe("study_store_visit_errors_total", "visits the crawl completed but the store failed to persist")
+		reg.Describe("study_store_visit_errors_total", "entries the study measured but the store failed to persist")
 		st.storeErrs = reg.Counter("study_store_visit_errors_total")
 		n, _ := vs.Digest()
 		logger.Infof("store: %s open (%d durable visits)", cfg.StoreDir, n)

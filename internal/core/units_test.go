@@ -245,7 +245,7 @@ func TestTLSProbeOutlivesCancelledCaller(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	st.probeHost(ctx, "exosrv.com")
-	if p := st.probeHost(context.Background(), "exosrv.com"); !p.ok || p.org != "ExoClick S.L." {
+	if p := st.probeHost(context.Background(), "exosrv.com"); !p.OK || p.Org != "ExoClick S.L." {
 		t.Errorf("probe after a cancelled caller = %+v, want the host's certificate", p)
 	}
 }

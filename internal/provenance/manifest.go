@@ -26,11 +26,12 @@ type FigureInfo struct {
 	Digest string   `json:"digest"`
 }
 
-// StoreInfo summarizes the durable visit store backing a run: how many
-// visit entries it holds and the order-independent content digest over
-// all of them. Because every stored entry is a pure function of (seed,
-// config, site), a killed-and-resumed run must reproduce the exact
-// digest of an uninterrupted one — the crash-safety gate's claim.
+// StoreInfo summarizes the durable store backing a run: how many
+// entries it holds (crawl visits, corpus sanitisation verdicts and TLS
+// probe outcomes) and the order-independent content digest over all of
+// them. Because every stored entry is a pure function of (seed, config,
+// key), a killed-and-resumed run must reproduce the exact digest of an
+// uninterrupted one — the crash-safety gate's claim.
 type StoreInfo struct {
 	Entries int    `json:"entries"`
 	Digest  string `json:"digest"`

@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Top1M is the size of the simulated daily toplist.
@@ -47,11 +48,17 @@ type Stats struct {
 type Dataset struct {
 	seed  uint64
 	sites map[string]Site
+
+	// statsMu guards the StatsFor memo: a host's summary is a pure
+	// function of (seed, site), filled on first request.
+	statsMu sync.Mutex
+	// guarded by statsMu
+	stats map[string]Stats
 }
 
 // New creates an empty dataset with the given seed.
 func New(seed uint64) *Dataset {
-	return &Dataset{seed: seed, sites: make(map[string]Site)}
+	return &Dataset{seed: seed, sites: make(map[string]Site), stats: make(map[string]Stats)}
 }
 
 // Add registers a site. Adding the same host twice overwrites the entry.
@@ -61,6 +68,9 @@ func (d *Dataset) Add(s Site) {
 		s.Volatility = defaultVolatility(s.BaseRank)
 	}
 	d.sites[s.Host] = s
+	d.statsMu.Lock()
+	delete(d.stats, s.Host)
+	d.statsMu.Unlock()
 }
 
 // Len returns the number of registered sites.
@@ -177,9 +187,26 @@ func (d *Dataset) RankOn(host string, day int) (rank int, present bool) {
 	return r, true
 }
 
-// StatsFor computes the longitudinal summary for a host.
+// StatsFor returns the longitudinal summary for a host. The 365-day
+// computation runs once per host and is memoised; StatsFor is safe for
+// concurrent use.
 func (d *Dataset) StatsFor(host string) Stats {
 	host = strings.ToLower(host)
+	d.statsMu.Lock()
+	st, ok := d.stats[host]
+	d.statsMu.Unlock()
+	if ok {
+		return st
+	}
+	st = d.computeStats(host)
+	d.statsMu.Lock()
+	d.stats[host] = st
+	d.statsMu.Unlock()
+	return st
+}
+
+// computeStats derives a lowercased host's summary from its daily ranks.
+func (d *Dataset) computeStats(host string) Stats {
 	st := Stats{Host: host}
 	var ranks []int
 	for day := 0; day < Days; day++ {

@@ -4,7 +4,9 @@
 // completed visit (its page outcome, request records, and stats) into
 // the store as one keyed entry; on restart the log replays, a torn
 // tail from a mid-write crash is truncated, and the study re-enters
-// the pipeline with only the missing visits. The run manifest then
+// the pipeline with only the missing visits. The study's other live
+// measurements (corpus sanitisation verdicts, TLS probe outcomes) are
+// entries too, each under its own stage name. The run manifest then
 // proves the resumed run equal to an uninterrupted one (see the
 // crashsafety gate in the Makefile).
 //
@@ -51,7 +53,8 @@ import (
 // vantages and hostnames never contain an ASCII unit separator.
 const keySep = "\x1f"
 
-// Key identifies one durable visit entry.
+// Key identifies one durable entry: a visit, or another measurement
+// filed under its own stage name.
 type Key struct {
 	Stage   string // pipeline stage name, e.g. "crawl/porn-ES"
 	Corpus  string // corpus being crawled: "porn", "reference"

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"pornweb/internal/lingo"
 )
@@ -34,11 +35,27 @@ func (s *Site) BannerFor(country string) BannerType {
 	return s.BannerUS
 }
 
+// rngPool recycles the generator's per-page and per-script RNGs: each
+// math/rand source is ~4.9 KB, and every landing page and script body
+// draws from its own. Seed re-seeds the whole source state and resets
+// the Rand's read position, so a pooled RNG draws exactly what a fresh
+// one would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// pooledRNG returns an RNG from rngPool seeded with seed; the caller
+// puts it back once done drawing.
+func pooledRNG(seed uint64) *rand.Rand {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(int64(seed))
+	return rng
+}
+
+// siteRNG derives a deterministic pooled RNG for a (site, salt) pair.
 func siteRNG(host, salt string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(host))
 	h.Write([]byte(salt))
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return pooledRNG(h.Sum64())
 }
 
 func langOf(s *Site) string {
@@ -76,6 +93,7 @@ func variantFor(siteHost string, svc *Service) int {
 func (e *Ecosystem) RenderLanding(s *Site, ctx PageContext) string {
 	lang := langOf(s)
 	rng := siteRNG(s.Host, "landing")
+	defer rngPool.Put(rng)
 	var b strings.Builder
 
 	b.WriteString("<!DOCTYPE html>\n<html lang=\"" + lang + "\">\n<head>\n")

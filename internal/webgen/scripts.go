@@ -25,12 +25,13 @@ var canvasTexts = []string{
 
 var canvasColors = []string{"#f60", "#069", "#ff0066", "rgb(10,20,30)", "#123456", "rgba(255,0,102,0.7)", "#0f9d58", "#222"}
 
-// scriptRNG derives a deterministic RNG for a (service, variant) pair.
+// scriptRNG derives a deterministic pooled RNG for a (service, variant)
+// pair.
 func scriptRNG(host string, variant int) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(host))
 	h.Write([]byte{byte(variant), byte(variant >> 8)})
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return pooledRNG(h.Sum64())
 }
 
 // canvasFPScript emits a canvas-fingerprinting script satisfying the
@@ -39,6 +40,7 @@ func scriptRNG(host string, variant int) *rand.Rand {
 // save/restore/addEventListener.
 func canvasFPScript(host string, variant int, uid, beaconURL string) string {
 	rng := scriptRNG(host, variant)
+	defer rngPool.Put(rng)
 	text := canvasTexts[rng.Intn(len(canvasTexts))]
 	c1 := canvasColors[rng.Intn(len(canvasColors))]
 	c2 := canvasColors[rng.Intn(len(canvasColors))]
@@ -66,6 +68,7 @@ func canvasFPScript(host string, variant int, uid, beaconURL string) string {
 // fingerprinting: tiny canvas, single color, save/restore usage.
 func benignCanvasScript(host string, variant int) string {
 	rng := scriptRNG(host, variant+1000)
+	defer rngPool.Put(rng)
 	var b strings.Builder
 	b.WriteString("var cv = document.createElement('canvas');\n")
 	fmt.Fprintf(&b, "cv.width = %d;\ncv.height = %d;\n", 8+rng.Intn(7), 8+rng.Intn(7))
@@ -95,6 +98,7 @@ func fontFPScript(uid, beaconURL string) string {
 // webrtcScript harvests local network candidates via RTCPeerConnection.
 func webrtcScript(host string, variant int, uid, beaconURL string) string {
 	rng := scriptRNG(host, variant+2000)
+	defer rngPool.Put(rng)
 	var b strings.Builder
 	b.WriteString("var pc = new RTCPeerConnection();\n")
 	b.WriteString("pc.createDataChannel('');\n")
@@ -112,6 +116,7 @@ func webrtcScript(host string, variant int, uid, beaconURL string) string {
 // fingerprintable properties, sets a cookie via document.cookie and beacons.
 func analyticsScript(host string, variant int, uid, beaconURL string, cookieName string) string {
 	rng := scriptRNG(host, variant+3000)
+	defer rngPool.Put(rng)
 	var b strings.Builder
 	b.WriteString("var ua = navigator.userAgent;\n")
 	b.WriteString("var sw = screen.width;\n")
@@ -140,6 +145,7 @@ func minerScript(host, uid string, scheme string) string {
 // what lets the server's per-site sync gating apply to impressions too.
 func adScript(host string, variant int, uid, pixelURL, site string) string {
 	rng := scriptRNG(host, variant+4000)
+	defer rngPool.Put(rng)
 	var b strings.Builder
 	fmt.Fprintf(&b, "var slot = 'zone-%d';\n", rng.Intn(900)+100)
 	fmt.Fprintf(&b, "var img = new Image();\nimg.src = '%s?site=%s&imp=%s&slot=' + slot;\n", pixelURL, site, uid)

@@ -624,3 +624,36 @@ func TestPolicyBytesDigest(t *testing.T) {
 		t.Errorf("policy bytes digest = %#x, want %#x", got, uint64(policyBytesDigest))
 	}
 }
+
+// generatedBytesDigest pins every site's landing page (in two page
+// contexts) and inline script, and every variant of every service's
+// script, for Generate(Params{Seed: 2019, Scale: 0.01}). A change to the
+// markup or to the per-site and per-script random draws moves it; a
+// change that only alters how the RNGs are obtained must not.
+const generatedBytesDigest = 0x74f81cdae9875281
+
+func TestGeneratedBytesDigest(t *testing.T) {
+	e := Generate(Params{Seed: 2019, Scale: 0.01})
+	h := fnv.New64a()
+	ctxs := []PageContext{
+		{Country: "ES", Scheme: "http", FirstPartyUID: "fpuid0123456789"},
+		{Country: "US", Scheme: "https", FirstPartyUID: "fpuid9876543210", AgeVerified: true},
+	}
+	for _, s := range e.AllSites() {
+		for _, ctx := range ctxs {
+			page := e.RenderLanding(s, ctx)
+			fmt.Fprintf(h, "%s\x00%d:%s\x00", s.Host, len(page), page)
+		}
+		inline := InlineSiteScript(s, "fpuid0123456789", "stats.example", "https")
+		fmt.Fprintf(h, "%d:%s\x00", len(inline), inline)
+	}
+	for _, svc := range e.Services {
+		for v := 0; v <= svc.ScriptVariants; v++ {
+			body := ServiceScriptFor(svc, v, "uid0123456789", "https", "site.example")
+			fmt.Fprintf(h, "%s\x00%d\x00%d:%s\x00", svc.Host, v, len(body), body)
+		}
+	}
+	if got := h.Sum64(); got != generatedBytesDigest {
+		t.Errorf("generated bytes digest = %#x, want %#x", got, uint64(generatedBytesDigest))
+	}
+}
